@@ -163,7 +163,7 @@ void WriteSampleTrace(const std::string& path) {
   service::Session session = server.OpenSession("trace_demo");
 
   // Null dim ODs: the session binds the dimension table to its pinned
-  // catalog, so elision proofs run against the tenant's epoch memo.
+  // catalog, so elision proofs run against the tenant memo.
   LogicalQuery q = warehouse::DailySalesQuery(&fact, &dim, &index, &parts,
                                               /*dim_ods=*/nullptr, 1999);
   CostModel cm;

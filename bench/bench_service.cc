@@ -9,12 +9,13 @@
 //     thread continuously applies Add/Remove sweeps (publishing a new
 //     epoch each time) and sessions periodically re-pin. The acceptance
 //     bar for the snapshot design is read time within 20% of the
-//     churn-free arm at equal thread count (memo seeding keeps re-pinned
-//     sessions warm; readers never block on the writer).
+//     churn-free arm at equal thread count (the tenant memo, swept in
+//     place, keeps re-pinned sessions warm; readers never block on the
+//     writer).
 //   * BM_ServiceTenantSweep/t — the read budget spread round-robin over t
 //     tenants from one thread: per-tenant isolation overhead.
 //   * BM_ServicePublish — writer-path cost of one Add+Remove cycle
-//     (mutation sweeps + snapshot + frozen prover + memo seed + publish).
+//     (memo sweeps + snapshot + frozen replica prover + publish).
 
 #include <benchmark/benchmark.h>
 
@@ -42,7 +43,7 @@ DependencySet ChainTheory(int n) {
 }
 
 /// All ordered pair queries [i] ↦ [j] — the overlapping "interesting
-/// orders" stream a planner fleet would ask; after one pass the epoch memo
+/// orders" stream a planner fleet would ask; after one pass the tenant memo
 /// absorbs every answer.
 std::vector<OrderDependency> PairQueries(int n) {
   std::vector<OrderDependency> queries;
@@ -84,7 +85,7 @@ void BM_ServiceReadNoChurn(benchmark::State& state) {
   service::Server server(service::ServerOptions{&pool});
   server.CreateTenant("t", ChainTheory(kAttrs));
   const auto queries = PairQueries(kAttrs);
-  RunReaders(server, "t", threads, queries);  // warm the epoch memo
+  RunReaders(server, "t", threads, queries);  // warm the tenant memo
   int64_t reads = 0;
   for (auto _ : state) {
     reads += RunReaders(server, "t", threads, queries);
@@ -98,11 +99,11 @@ void BM_ServiceReadUnderChurn(benchmark::State& state) {
   service::Server server(service::ServerOptions{&pool});
   server.CreateTenant("t", ChainTheory(kAttrs));
   const auto queries = PairQueries(kAttrs);
-  RunReaders(server, "t", threads, queries);  // warm the epoch memo
+  RunReaders(server, "t", threads, queries);  // warm the tenant memo
 
   // Continuous writer: add a fresh off-chain constraint, then remove it —
-  // two publications per cycle, each re-seeding the epoch memo through the
-  // retainer. Runs for the whole measured region.
+  // two publications per cycle, each sweeping the tenant memo. Runs for
+  // the whole measured region.
   std::atomic<bool> stop{false};
   std::thread writer([&server, &stop] {
     int extra = kAttrs;

@@ -174,19 +174,24 @@ void TraceSpan::Open(const char* name) {
   start_ = std::chrono::steady_clock::now();
 }
 
+SpanMicros ToSpanMicros(std::chrono::steady_clock::time_point start,
+                        std::chrono::steady_clock::time_point end) {
+  const auto micros = [](std::chrono::steady_clock::time_point t) {
+    return std::chrono::duration_cast<std::chrono::microseconds>(
+               t.time_since_epoch())
+        .count();
+  };
+  const int64_t start_us = micros(start);
+  return SpanMicros{start_us, micros(end) - start_us};
+}
+
 void TraceSpan::Close() {
-  const auto end = std::chrono::steady_clock::now();
-  const int64_t start_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          start_.time_since_epoch())
-          .count();
-  const int64_t dur_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(end - start_)
-          .count();
+  const SpanMicros window =
+      ToSpanMicros(start_, std::chrono::steady_clock::now());
   Tracer::PopDepth();
   Tracer::SetCurrentContext(prev_);
-  Tracer::Global().Record(name_, start_us, dur_us, depth_, prev_.trace_id,
-                          span_id_, prev_.span_id);
+  Tracer::Global().Record(name_, window.start_us, window.dur_us, depth_,
+                          prev_.trace_id, span_id_, prev_.span_id);
 }
 
 }  // namespace common

@@ -136,6 +136,17 @@ class Tracer {
   std::atomic<bool> enabled_{false};
 };
 
+/// A span's exported window, in whole steady-clock microseconds.
+struct SpanMicros {
+  int64_t start_us;
+  int64_t dur_us;
+};
+/// Truncates both endpoints to µs before taking the duration, so a span
+/// that opens and closes inside another never ends after it in the export
+/// (truncating the start and the duration separately can add 1 µs).
+SpanMicros ToSpanMicros(std::chrono::steady_clock::time_point start,
+                        std::chrono::steady_clock::time_point end);
+
 /// Installs `ctx` as the calling thread's TraceContext for the enclosing
 /// scope and restores the previous context on exit. Compiles to nothing
 /// under -DOD_TRACE=OFF.

@@ -49,6 +49,7 @@ ProverMetrics& Metrics() {
 
 Prover::Prover(std::shared_ptr<theory::Theory> theory)
     : theory_(std::move(theory)),
+      memo_(std::make_shared<Memo>(theory_->epoch())),
       listener_(theory_->Subscribe([this](const theory::ChangeEvent& event) {
         OnTheoryChange(event);
       })) {}
@@ -59,7 +60,13 @@ Prover::Prover(DependencySet m)
 Prover::Prover(const theory::TheorySnapshot& snapshot)
     : Prover(std::make_shared<theory::Theory>(snapshot)) {}
 
-Prover::~Prover() { theory_->Unsubscribe(listener_); }
+Prover::Prover(const theory::TheorySnapshot& snapshot, const Prover& owner)
+    : theory_(std::make_shared<theory::Theory>(snapshot)),
+      memo_(owner.memo_) {}
+
+Prover::~Prover() {
+  if (listener_) theory_->Unsubscribe(*listener_);
+}
 
 Prover::CacheShard& Prover::ShardFor(const OrderDependency& dep) const {
   // Fold the hash's upper half into the shard index: the shard's
@@ -70,14 +77,16 @@ Prover::CacheShard& Prover::ShardFor(const OrderDependency& dep) const {
   // 32) stays defined if size_t is ever 32 bits.
   const size_t h = OrderDependencyHash{}(dep);
   constexpr unsigned kHalf = sizeof(size_t) * 4;
-  return cache_[(h ^ (h >> kHalf)) % kCacheShards];
+  return memo_->shards[(h ^ (h >> kHalf)) % kCacheShards];
 }
 
 std::optional<bool> Prover::CacheLookup(CacheShard& shard,
                                         const OrderDependency& dep) const {
   std::shared_lock<std::shared_mutex> lock(shard.mu);
   auto it = shard.map.find(dep);
-  if (it == shard.map.end()) return std::nullopt;
+  if (it == shard.map.end() || !it->second.HoldsAt(epoch())) {
+    return std::nullopt;
+  }
   return it->second.implied;
 }
 
@@ -85,7 +94,9 @@ std::optional<Prover::Entry> Prover::EntryLookup(
     CacheShard& shard, const OrderDependency& dep) const {
   std::shared_lock<std::shared_mutex> lock(shard.mu);
   auto it = shard.map.find(dep);
-  if (it == shard.map.end()) return std::nullopt;
+  if (it == shard.map.end() || !it->second.HoldsAt(epoch())) {
+    return std::nullopt;
+  }
   return it->second;
 }
 
@@ -94,7 +105,7 @@ void Prover::CacheStore(CacheShard& shard, const OrderDependency& dep,
                         std::optional<SignVector> model) const {
   Entry entry;
   entry.implied = implied;
-  entry.epoch = theory_->epoch();
+  entry.epoch = epoch();
   if (implied) {
     // Translate search indices into stable constraint ids so the support
     // certificate stays meaningful as later removals shuffle indices.
@@ -105,7 +116,15 @@ void Prover::CacheStore(CacheShard& shard, const OrderDependency& dep,
     entry.model = std::move(model);
   }
   std::unique_lock<std::shared_mutex> lock(shard.mu);
-  shard.map.emplace(dep, std::move(entry));
+  // The head is read under the shard lock, and a sweep advances it before
+  // it locks any shard: an entry marked open-ended here is always walked
+  // by the sweep that moves the head past it.
+  entry.end = entry.epoch == memo_->head.load() ? kOpenEnded
+                                                : entry.epoch + 1;
+  auto [it, inserted] = shard.map.try_emplace(dep, std::move(entry));
+  if (!inserted && it->second.end != kOpenEnded) {
+    it->second = std::move(entry);  // try_emplace left `entry` intact
+  }
 }
 
 namespace {
@@ -138,17 +157,25 @@ bool ExtendedSatisfies(const SignVector& model, const OrderDependency& dep) {
 void Prover::OnTheoryChange(const theory::ChangeEvent& event) const {
   // The theory already reflects the change; sweep the memo with the
   // monotonicity rules. Runs inside Add/Remove, which the contract forbids
-  // racing with queries, but the locks are taken anyway so a well-behaved
-  // reader never observes a torn shard.
+  // racing with queries on this prover — but replicas sharing the memo
+  // query it concurrently, so every shard is walked under its lock.
   OD_TRACE_SPAN("prover.memo_sweep");
+  memo_->head.store(event.epoch);
   const bool added = event.kind == theory::ChangeEvent::Kind::kAdd;
   int64_t invalidated = 0;
   int64_t retained = 0;
-  for (CacheShard& shard : cache_) {
+  int64_t kept = 0;
+  for (CacheShard& shard : memo_->shards) {
     std::unique_lock<std::shared_mutex> lock(shard.mu);
     for (auto it = shard.map.begin(); it != shard.map.end();) {
       const Entry& entry = it->second;
       bool evict;
+      if (entry.end != kOpenEnded) {
+        // Stored behind the head and never checked against a later
+        // catalog: it cannot hold at the new head.
+        it = shard.map.erase(it);
+        continue;
+      }
       if (added) {
         if (entry.implied) {
           // Monotone: positives stay sound under any add.
@@ -176,11 +203,13 @@ void Prover::OnTheoryChange(const theory::ChangeEvent& event) const {
         ++invalidated;
       } else {
         ++it;
+        ++kept;
       }
     }
   }
   entries_invalidated_.fetch_add(invalidated, std::memory_order_relaxed);
   entries_retained_.fetch_add(retained, std::memory_order_relaxed);
+  last_sweep_kept_.store(kept, std::memory_order_relaxed);
   Metrics().invalidated.Add(invalidated);
   Metrics().retained.Add(retained);
 }
@@ -308,26 +337,6 @@ std::optional<bool> Prover::CachedImplies(const OrderDependency& dep) const {
     Metrics().hits.Add();
   }
   return cached;
-}
-
-int64_t Prover::SeedMemoFrom(const Prover& other) {
-  int64_t imported = 0;
-  for (size_t i = 0; i < kCacheShards; ++i) {
-    // Identical catalogs hash identically, so shard i maps onto shard i.
-    CacheShard& dst = cache_[i];
-    const CacheShard& src = other.cache_[i];
-    // Deadlock-free two-mutex acquisition: seeding runs in both directions
-    // (epoch prover <- retainer at publish, retainer <- epoch prover at the
-    // Apply fold), so a fixed src-then-dst order would invert between the
-    // same pair of provers.
-    std::shared_lock<std::shared_mutex> src_lock(src.mu, std::defer_lock);
-    std::unique_lock<std::shared_mutex> dst_lock(dst.mu, std::defer_lock);
-    std::lock(src_lock, dst_lock);
-    for (const auto& [dep, entry] : src.map) {
-      imported += dst.map.emplace(dep, entry).second ? 1 : 0;
-    }
-  }
-  return imported;
 }
 
 std::vector<bool> Prover::ProveAll(const std::vector<OrderDependency>& deps,
@@ -458,7 +467,7 @@ std::optional<uint64_t> Prover::entry_epoch(const OrderDependency& dep) const {
 
 int64_t Prover::memo_size() const {
   int64_t total = 0;
-  for (CacheShard& shard : cache_) {
+  for (CacheShard& shard : memo_->shards) {
     std::shared_lock<std::shared_mutex> lock(shard.mu);
     total += static_cast<int64_t>(shard.map.size());
   }

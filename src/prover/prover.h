@@ -59,24 +59,39 @@ namespace prover {
 /// valid completion, so certificates stay checkable as the attribute
 /// universe grows.
 ///
-/// Entries are epoch-tagged with the theory epoch at which they were
-/// derived; retention keeps the original tag, documenting how long an
-/// answer has stayed valid across churn.
+/// ## The memo and its epoch windows
+///
+/// Every entry carries the window of theory epochs it holds at: it was
+/// derived at `epoch` and holds for every epoch in [epoch, end). A prover
+/// at epoch e uses an entry only when the window covers e. The memo also
+/// tracks a head: the epoch of the theory whose change feed sweeps it. An
+/// answer stored at the head is open-ended — the sweeps above keep it
+/// sound as the head moves, and evict it when its certificate fails. An
+/// answer stored by a replica pinned behind the head (see the replica
+/// constructor) ends at its epoch + 1: no sweep ever checked it against a
+/// later catalog. Each sweep advances the head *before* it walks the
+/// shards, and stores read the head under the shard lock, so a store
+/// either lands before the sweep reaches its shard (and is checked) or
+/// sees the new head (and is closed); none slips past.
 ///
 /// ## Ownership
 ///
 /// The prover holds a shared_ptr to its theory and registers a change
 /// listener for its own lifetime (unsubscribed in the destructor); a
 /// Prover is neither copyable nor movable. Many provers may share one
-/// theory. The `Prover(DependencySet)` convenience constructor wraps the
-/// set in a private single-owner theory for the common frozen-catalog use.
+/// theory, each with its own memo. The `Prover(DependencySet)` convenience
+/// constructor wraps the set in a private single-owner theory for the
+/// common frozen-catalog use. A replica prover instead shares the memo of
+/// the prover it was made from, holding it by shared_ptr (the memo lives
+/// as long as any prover using it), and subscribes to nothing.
 ///
 /// ## Thread safety
 ///
 /// All query methods are safe to call concurrently on one Prover instance.
 /// The memo is an unordered_map striped across shared-mutex shards keyed
 /// by OrderDependencyHash — lookups take a shard in shared mode,
-/// insertions in exclusive mode — and the stats counters are atomic. Model
+/// insertions in exclusive mode — and the stats counters are atomic (they
+/// count this prover's own queries, also when the memo is shared). Model
 /// searches run outside any lock, so two threads racing on the same fresh
 /// query may both execute the search; they compute the same answer (the
 /// procedure is deterministic) and `searches_executed()` then counts both,
@@ -84,8 +99,10 @@ namespace prover {
 /// can exceed the number of distinct queries. Theory MUTATIONS are the
 /// exception: `Theory::Add`/`Remove` must not race with queries on any
 /// prover attached to that theory — mutate between query batches (see
-/// docs/theory.md). Construction and destruction are not concurrent-safe
-/// with queries, as usual.
+/// docs/theory.md). Replicas of an owner are the exception to that rule:
+/// their theories are frozen, so they may query the shared memo while the
+/// owner's theory mutates and its sweeps run. Construction and destruction
+/// are not concurrent-safe with queries on the same instance, as usual.
 class Prover {
  public:
   /// Attaches to a shared, mutable catalog; the prover tracks every
@@ -94,13 +111,20 @@ class Prover {
   /// Convenience for a frozen catalog: wraps `m` in a private theory.
   explicit Prover(DependencySet m);
   /// Snapshot-backed construction: restores a private frozen replica of
-  /// the snapshotted catalog (same constraints, stable ids, and epoch — so
-  /// memo entries and their id-naming support certificates are exchangeable
-  /// with any prover on the same catalog state, see SeedMemoFrom) and
-  /// proves against it. The replica is reachable via shared_theory() but
-  /// must never be mutated while queries run, as usual; the snapshot
-  /// itself is only read during construction.
+  /// the snapshotted catalog (same constraints, stable ids, and epoch) and
+  /// proves against it with a memo of its own. The replica is reachable
+  /// via shared_theory() but must never be mutated while queries run, as
+  /// usual; the snapshot itself is only read during construction.
   explicit Prover(const theory::TheorySnapshot& snapshot);
+  /// A replica of `owner` at `snapshot`'s epoch that shares `owner`'s memo
+  /// instead of copying it: the epoch windows keep each answer to the
+  /// epochs it holds at, so replicas pinned at different epochs read and
+  /// feed one memo, and the owner's sweeps keep it sound. PRECONDITION:
+  /// `snapshot` was taken from owner's theory, at owner's epoch or before
+  /// (replica ids and epochs must name the same catalog states as the
+  /// owner's), and the replica's theory is never mutated — it does not
+  /// subscribe to it.
+  Prover(const theory::TheorySnapshot& snapshot, const Prover& owner);
   ~Prover();
 
   Prover(const Prover&) = delete;
@@ -120,10 +144,11 @@ class Prover {
   bool Implies(const OrderDependency& dep) const;
   bool Implies(const AttributeList& lhs, const AttributeList& rhs) const;
 
-  /// The memoized answer for `dep`, if one is cached — never runs a model
-  /// search. A hit counts toward cache_hits(): it answered the query. This
-  /// is the service layer's fast path (probe the shared epoch memo before
-  /// paying the batching handshake); one shared-lock map lookup.
+  /// The memoized answer for `dep`, if one holds at this prover's epoch —
+  /// never runs a model search. A hit counts toward cache_hits(): it
+  /// answered the query. This is the service layer's fast path (probe the
+  /// tenant memo before paying the batching handshake); one shared-lock
+  /// map lookup.
   std::optional<bool> CachedImplies(const OrderDependency& dep) const;
 
   /// Batch form of Implies: answers every query, fanning the model searches
@@ -183,47 +208,43 @@ class Prover {
   int64_t entries_retained() const {
     return entries_retained_.load(std::memory_order_relaxed);
   }
-  /// Backwards-compatible alias for searches_executed().
-  int64_t search_count() const { return searches_executed(); }
   /// Zeroes all counters above (not the memo). Not concurrent-safe with
   /// in-flight queries that are mid-update, but safe between batches.
   void ResetStats();
 
-  /// Number of entries currently memoized (takes every shard lock; meant
-  /// for tests and diagnostics, not hot paths).
+  /// Entries the most recent sweep left open-ended at the new epoch: every
+  /// answer that held at the old head and passed its certificate check —
+  /// what a fresh replica at the new epoch inherits. 0 before any sweep.
+  int64_t last_sweep_kept() const {
+    return last_sweep_kept_.load(std::memory_order_relaxed);
+  }
+
+  /// Number of entries currently memoized, over every epoch window (takes
+  /// every shard lock; meant for tests and diagnostics, not hot paths).
   int64_t memo_size() const;
 
-  /// Copies every memo entry of `other` into this prover's memo (existing
-  /// entries win on collision). PRECONDITION: both provers' theories are in
-  /// the same catalog state — identical deps, stable ids, and epoch — or
-  /// the imported answers and their certificates would be unsound. The
-  /// service's writer path uses this to hand a freshly frozen epoch prover
-  /// the memo its per-tenant retainer kept alive across churn (the PR 4
-  /// monotonicity-aware retention), so a published epoch starts warm.
-  /// Returns the number of entries imported. `other` may be serving
-  /// concurrent queries (its shards are read under shared locks); *this*
-  /// must not be — the service only calls it writer-side, before the
-  /// destination prover is ever published. Per-shard lock pairs are
-  /// acquired deadlock-free (std::lock), so seeding in both directions
-  /// between the same pair of provers establishes no lock-order cycle.
-  int64_t SeedMemoFrom(const Prover& other);
-
   /// The theory epoch at which the cached answer for `dep` was derived, if
-  /// one is memoized. Retention preserves the original tag, so
-  /// `entry_epoch(q) < epoch()` is exactly "this answer survived catalog
-  /// churn". Diagnostics only, not a hot path.
+  /// one holds at this prover's epoch. Retention preserves the original
+  /// tag, so `entry_epoch(q) < epoch()` is exactly "this answer survived
+  /// catalog churn". Diagnostics only, not a hot path.
   std::optional<uint64_t> entry_epoch(const OrderDependency& dep) const;
 
  private:
+  /// The end of an entry window that no sweep has closed.
+  static constexpr uint64_t kOpenEnded = UINT64_MAX;
+
   /// One memoized answer plus its survival certificate. Positive entries
   /// carry `support` (ids of the constraints the deriving search used);
   /// negative entries carry `model` (the falsifying two-row model found).
-  /// `epoch` is the theory version the answer was derived at.
+  /// The answer holds at every epoch in [epoch, end).
   struct Entry {
     bool implied;
     uint64_t epoch;
+    uint64_t end;
     std::vector<theory::ConstraintId> support;
     std::optional<SignVector> model;
+
+    bool HoldsAt(uint64_t e) const { return epoch <= e && e < end; }
   };
 
   /// The memo stripe for `dep` plus its hash, so Implies and Counterexample
@@ -234,34 +255,52 @@ class Prover {
   };
   static constexpr size_t kCacheShards = 16;
 
+  /// The memo an owner prover shares with its replicas. `head` is the
+  /// owner theory's epoch as of the latest sweep.
+  struct Memo {
+    explicit Memo(uint64_t epoch) : head(epoch) {}
+    std::array<CacheShard, kCacheShards> shards;
+    std::atomic<uint64_t> head;
+  };
+
   CacheShard& ShardFor(const OrderDependency& dep) const;
-  /// Cached answer for `dep`, if present (shared lock).
+  /// Cached answer for `dep`, if one holds at epoch() (shared lock).
   std::optional<bool> CacheLookup(CacheShard& shard,
                                   const OrderDependency& dep) const;
-  /// Full cached entry for `dep` (shared lock; copies — diagnostics and
-  /// Counterexample, not the Implies hot path).
+  /// Full cached entry for `dep`, if it holds at epoch() (shared lock;
+  /// copies — diagnostics and Counterexample, not the Implies hot path).
   std::optional<Entry> EntryLookup(CacheShard& shard,
                                    const OrderDependency& dep) const;
-  /// Records an answer (exclusive lock); first writer wins on races.
+  /// Records an answer derived at epoch() (exclusive lock), open-ended if
+  /// epoch() is the memo head, else ending at epoch() + 1. An open-ended
+  /// entry is never replaced (first writer wins on races); any other
+  /// entry gives way to the new one.
   /// `search_support` holds indices into deps().ods() as reported by the
   /// model search (translated to stable ids here; used for positives);
   /// `model` is the falsifying model (negatives).
   void CacheStore(CacheShard& shard, const OrderDependency& dep, bool implied,
                   const std::vector<int>& search_support,
                   std::optional<SignVector> model) const;
-  /// Monotonicity-aware memo sweep, run from the theory's change feed.
+  /// Monotonicity-aware memo sweep, run from the theory's change feed:
+  /// advances the head, then drops every entry that does not hold at it.
   void OnTheoryChange(const theory::ChangeEvent& event) const;
   /// Zero-extends a stored countermodel to the current attribute universe
   /// and materializes its two-row relation.
   Relation MaterializeCounterexample(const SignVector& model) const;
 
   std::shared_ptr<theory::Theory> theory_;
-  theory::Theory::ListenerToken listener_;
-  mutable std::array<CacheShard, kCacheShards> cache_;
-  mutable std::atomic<int64_t> searches_executed_{0};
+  std::shared_ptr<Memo> memo_;
+  /// Set when this prover sweeps memo_ from theory_'s change feed; empty
+  /// on replicas.
+  std::optional<theory::Theory::ListenerToken> listener_;
+  // Every query reads theory_ and memo_, and every hit bumps cache_hits_
+  // from whichever thread asked: a cache line of their own keeps the
+  // counters' traffic off the pointers.
+  alignas(64) mutable std::atomic<int64_t> searches_executed_{0};
   mutable std::atomic<int64_t> cache_hits_{0};
   mutable std::atomic<int64_t> entries_invalidated_{0};
   mutable std::atomic<int64_t> entries_retained_{0};
+  mutable std::atomic<int64_t> last_sweep_kept_{0};
 };
 
 }  // namespace prover

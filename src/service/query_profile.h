@@ -14,7 +14,8 @@ namespace service {
 /// counters and the request's own ExecStats — never from global registry
 /// totals, so two concurrent requests don't bleed into each other's
 /// profiles (the prover deltas are still approximate when sessions share
-/// an epoch memo under concurrency; that caveat is documented, not hidden).
+/// an epoch prover under concurrency; that caveat is documented, not
+/// hidden).
 struct QueryProfile {
   enum class Kind { kImplies, kProveAll, kPlan, kExecute, kApply };
 

@@ -48,7 +48,7 @@ struct TenantMetrics {
                                label)),
         fastpath_hits(reg.GetCounter(
             "od_service_fastpath_hits_total",
-            "Implies answered from the shared epoch memo without entering "
+            "Implies answered from the tenant memo without entering "
             "the batcher",
             label)),
         batches(reg.GetCounter("od_service_batches_total",
@@ -64,8 +64,8 @@ struct TenantMetrics {
                                  label)),
         memo_seeded(reg.GetCounter(
             "od_service_memo_seeded_total",
-            "Memo entries the per-tenant retainer carried into freshly "
-            "published epoch provers",
+            "Memo entries the certificate sweeps carried into freshly "
+            "published epochs",
             label)),
         plans(reg.GetCounter("od_service_plans_total",
                              "Physical plans built against pinned "
@@ -87,8 +87,8 @@ struct TenantMetrics {
                                     label)),
         publish_us(reg.GetHistogram(
             "od_service_publish_us",
-            "Writer-path publication cost (snapshot + freeze + memo seed), "
-            "microseconds",
+            "Writer-path publication cost (snapshot + frozen replica + "
+            "batcher), microseconds",
             label)),
         request_us(reg.GetHistogram(
             "od_service_request_us",
@@ -195,12 +195,12 @@ class ImpliesBatcher {
 };
 
 /// Everything a session needs at one (tenant, epoch): the immutable
-/// snapshot, the shared prover whose memo is the global-memo partition for
-/// this key, and the batcher coalescing cold queries. Logically immutable
-/// after publication — the prover's memo and the batcher synchronize
+/// snapshot, the frozen replica prover that reads and feeds the tenant's
+/// memo at this epoch, and the batcher coalescing cold queries. Logically
+/// immutable after publication — the memo and the batcher synchronize
 /// internally — so any number of sessions share one EpochState by
-/// shared_ptr, and the state (memo included) dies with its last session
-/// once the writer has moved on.
+/// shared_ptr, and the state dies with its last session once the writer
+/// has moved on. The memo itself is the tenant's and outlives it.
 struct EpochState {
   std::shared_ptr<const theory::TheorySnapshot> snapshot;
   std::shared_ptr<prover::Prover> prover;
@@ -223,9 +223,10 @@ struct TenantState {
   /// The writer's private mutable catalog. Only the writer path touches
   /// it; readers see it exclusively through published snapshots.
   std::shared_ptr<theory::Theory> master;
-  /// Rides master's change feed; its memo survives churn via the
-  /// monotonicity-aware retention and seeds every published epoch prover.
-  std::unique_ptr<prover::Prover> retainer;
+  /// Owns the tenant's one memo and rides master's change feed: its sweeps
+  /// keep the memo sound at the head with the certificate-checked
+  /// retention, and every published epoch prover is a replica sharing it.
+  std::unique_ptr<prover::Prover> master_prover;
 
   /// Guards only the `published` pointer swap — held for a pointer copy,
   /// never across mutation or proving work.
@@ -278,9 +279,9 @@ struct TenantState {
 /// from the request's prover, and on destruction assembles the
 /// QueryProfile from the *deltas* and hands it to the tenant. Prover
 /// deltas are per-instance, not global — but the epoch prover is shared
-/// by design (that sharing IS the global memo), so under concurrency a
-/// profile may attribute a neighbor's searches to itself; approximate by
-/// construction, never off by a global-counter reset.
+/// by every session at its epoch, so under concurrency a profile may
+/// attribute a neighbor's searches to itself; approximate by construction,
+/// never off by a global-counter reset.
 class RequestProfiler {
  public:
   RequestProfiler(TenantState* tenant, const prover::Prover* prover,
@@ -349,18 +350,18 @@ class RequestProfiler {
 
 namespace {
 
-/// Writer-path publication: freeze the master at its current epoch, seed
-/// the frozen prover with everything the retainer kept, and swap the
-/// published pointer. Caller holds writer_mu.
-std::shared_ptr<const internal::EpochState> PublishLocked(
-    internal::TenantState& tenant, const ServerOptions& options,
-    int64_t* seeded_out) {
+/// Writer-path publication: freeze the master at its current epoch into a
+/// replica prover on the tenant memo and swap the published pointer.
+/// `seeded` is what the sweeps carried into this epoch. Caller holds
+/// writer_mu.
+void PublishLocked(internal::TenantState& tenant,
+                   const ServerOptions& options, int64_t seeded) {
   OD_TRACE_SPAN("service.publish");
   const auto start = std::chrono::steady_clock::now();
   auto state = std::make_shared<internal::EpochState>();
   state->snapshot = tenant.master->Snapshot();
-  state->prover = std::make_shared<prover::Prover>(*state->snapshot);
-  const int64_t seeded = state->prover->SeedMemoFrom(*tenant.retainer);
+  state->prover =
+      std::make_shared<prover::Prover>(*state->snapshot, *tenant.master_prover);
   state->batcher = std::make_unique<internal::ImpliesBatcher>(
       state->prover.get(), options.pool, options.max_batch,
       &tenant.metrics);
@@ -376,8 +377,6 @@ std::shared_ptr<const internal::EpochState> PublishLocked(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
-  if (seeded_out != nullptr) *seeded_out = seeded;
-  return state;
 }
 
 }  // namespace
@@ -523,11 +522,9 @@ void Server::CreateTenant(const std::string& tenant,
   auto state = std::make_unique<internal::TenantState>(tenant, options_);
   state->pool = options_.pool;
   state->master = std::make_shared<theory::Theory>(seed);
-  state->retainer = std::make_unique<prover::Prover>(state->master);
-  {
-    // Publication needs no writer_mu here: the tenant is not yet visible.
-    PublishLocked(*state, options_, nullptr);
-  }
+  state->master_prover = std::make_unique<prover::Prover>(state->master);
+  // Publication needs no writer_mu here: the tenant is not yet visible.
+  PublishLocked(*state, options_, /*seeded=*/0);
   std::lock_guard<std::mutex> lock(tenants_mu_);
   if (!tenants_.emplace(tenant, std::move(state)).second) {
     throw std::invalid_argument("Server::CreateTenant: tenant '" + tenant +
@@ -560,33 +557,31 @@ internal::TenantState& Server::Tenant(const std::string& tenant) const {
 ApplyResult Server::Apply(const std::string& tenant,
                           const std::vector<Mutation>& mutations) {
   internal::TenantState& state = Tenant(tenant);
-  // The retainer is the writer path's prover: its deltas count the memo
-  // sweeps and re-seeding work this sweep caused.
-  internal::RequestProfiler prof(&state, state.retainer.get(),
+  // The master prover is the writer path's prover: its deltas count the
+  // work this sweep caused.
+  internal::RequestProfiler prof(&state, state.master_prover.get(),
                                  /*epoch=*/0, QueryProfile::Kind::kApply,
                                  "service.apply");
   prof.profile().detail =
       std::to_string(mutations.size()) + " mutations";
   std::lock_guard<std::mutex> writer(state.writer_mu);
-  // Fold the published epoch memo back into the retainer before mutating:
-  // the master has not changed since the last publication, so both provers
-  // are at the identical catalog state and the import is sound (the source
-  // shard locks tolerate sessions querying it concurrently). This closes
-  // the retention loop — answers sessions computed at the old epoch pass
-  // through the sweeps below and seed the next epoch's memo.
-  state.retainer->SeedMemoFrom(*state.Published()->prover);
+  const uint64_t before = state.master->epoch();
   ApplyResult result;
   for (const Mutation& m : mutations) {
     if (m.kind == Mutation::Kind::kAdd) {
-      // The retainer's listener sweeps its memo here, retaining entries
-      // whose certificates survive — the incremental-reproving payoff.
+      // The master prover's listener sweeps the tenant memo here, keeping
+      // entries whose certificates survive — the incremental-reproving
+      // payoff — while sessions keep reading it at their pinned epochs.
       result.added.push_back(state.master->Add(m.od));
     } else if (state.master->Remove(m.id)) {
       ++result.removed;
     }
   }
-  PublishLocked(state, options_, &result.memo_seeded);
   result.epoch = state.master->epoch();
+  if (result.epoch != before) {
+    result.memo_seeded = state.master_prover->last_sweep_kept();
+  }
+  PublishLocked(state, options_, result.memo_seeded);
   prof.profile().epoch = result.epoch;
   return result;
 }
@@ -625,9 +620,8 @@ TenantStats Server::Stats(const std::string& tenant) const {
   stats.epoch_memo_size = published->prover->memo_size();
   stats.epoch_searches = published->prover->searches_executed();
   stats.epoch_cache_hits = published->prover->cache_hits();
-  stats.retainer_memo_size = state.retainer->memo_size();
-  stats.retainer_invalidated = state.retainer->entries_invalidated();
-  stats.retainer_retained = state.retainer->entries_retained();
+  stats.memo_invalidated = state.master_prover->entries_invalidated();
+  stats.memo_retained = state.master_prover->entries_retained();
   stats.sessions_opened = state.metrics.sessions_opened.Value();
   stats.pinned_sessions = state.metrics.pinned_sessions.Value();
   stats.profiles_recorded = state.recorder.total_recorded();

@@ -35,19 +35,20 @@ class ThreadPool;
 ///     invisible to the session until it calls `Refresh()`; every answer a
 ///     session returns is exactly the answer of a fresh prover at its
 ///     pinned epoch (the churn differential suite enforces this bitwise).
-///   * **Readers never block the writer** (nor vice versa): the writer
+///   * **Readers and the writer meet only at short locks:** the writer
 ///     mutates its private master catalog and publishes a fresh immutable
 ///     epoch state with one pointer swap; readers touch only their pinned
-///     state. The only shared locks are pointer-copy mutexes held for
-///     nanoseconds, never across proving or mutation work.
-///   * **A global memo keyed (tenant, epoch, query).** All sessions pinned
-///     to one (tenant, epoch) share that epoch's prover, so its sharded
-///     memo *is* the global memo partition for that key: a hot query
-///     proved once serves every session at the epoch. Publication seeds
-///     the new epoch's memo from a per-tenant retainer prover that rides
-///     the catalog's change feed, so the PR 4 monotonicity-aware retention
+///     state and the tenant memo. The shared locks are pointer-copy
+///     mutexes and the memo's shard locks, which the writer's sweep holds
+///     one shard at a time — never across proving work.
+///   * **One memo per tenant, windowed by epoch.** The tenant's master
+///     prover owns one sharded memo; every published epoch prover is a
+///     frozen replica holding a pointer to it, and each entry records the
+///     epochs it holds at. A hot query proved once serves every session
+///     whose epoch its window covers. The master prover rides the
+///     catalog's change feed, so the monotonicity-aware retention
 ///     (support-set and countermodel certificates) carries answers across
-///     epochs instead of recomputing them.
+///     epochs in place: publication copies no memo.
 ///   * **Batching.** Concurrent `Session::Implies` misses coalesce — group
 ///     commit style — into `Prover::ProveAll` sweeps fanned across the
 ///     work-stealing scheduler, so N sessions asking cold questions pay
@@ -98,8 +99,9 @@ struct Mutation {
 /// Outcome of one writer sweep (Server::Apply): the epoch published after
 /// the whole sweep, the constraint ids minted for kAdd mutations (in
 /// mutation order; kRemove entries contribute nothing), how many removes
-/// found a live id, and how many memo entries the retention machinery
-/// carried into the freshly published epoch prover.
+/// found a live id, and how many memo entries the certificate sweeps
+/// carried into the new epoch (the live entries it inherits; 0 when no
+/// mutation took effect and the epoch did not move).
 struct ApplyResult {
   uint64_t epoch = 0;
   std::vector<theory::ConstraintId> added;
@@ -112,15 +114,15 @@ struct ApplyResult {
 struct TenantStats {
   uint64_t epoch = 0;
   int catalog_size = 0;
-  /// The published epoch prover's memo (the live global-memo partition
-  /// for (tenant, current epoch)) and its query counters.
+  /// Entries in the tenant's memo (every epoch window), and the published
+  /// epoch prover's query counters.
   int64_t epoch_memo_size = 0;
   int64_t epoch_searches = 0;
   int64_t epoch_cache_hits = 0;
-  /// The retainer prover that carries the memo across churn.
-  int64_t retainer_memo_size = 0;
-  int64_t retainer_invalidated = 0;
-  int64_t retainer_retained = 0;
+  /// The memo sweeps' retention counters (see
+  /// Prover::entries_invalidated / entries_retained).
+  int64_t memo_invalidated = 0;
+  int64_t memo_retained = 0;
   /// Session lifecycle: total ever opened, and currently live (pinned)
   /// Session objects.
   int64_t sessions_opened = 0;
@@ -145,7 +147,7 @@ class Server;
 /// are cheap (two pointers), movable, and safe to use from the owning
 /// thread while any number of other sessions — on the same or other
 /// epochs — run concurrently; one Session object itself is not meant to
-/// be shared across threads (open one per thread; they share the epoch
+/// be shared across threads (open one per thread; they share the tenant
 /// memo anyway). Sessions must not outlive their Server.
 class Session {
  public:
@@ -162,12 +164,13 @@ class Session {
   /// The pinned immutable snapshot (deps, FD projection, ids, attributes).
   const theory::TheorySnapshot& snapshot() const;
   /// The frozen replica theory backing the pinned epoch — safe for
-  /// unlimited concurrent reads; never mutated by the service.
+  /// unlimited concurrent reads. Never mutate it: its prover shares the
+  /// tenant memo and relies on the epoch naming this catalog state.
   const std::shared_ptr<theory::Theory>& theory() const;
 
-  /// ℳ@epoch ⊨ dep. Fast path: the shared epoch memo (one shared-lock
-  /// probe). Miss: coalesced with concurrent misses into a ProveAll sweep
-  /// on the server's scheduler.
+  /// ℳ@epoch ⊨ dep. Fast path: the tenant memo at the pinned epoch (one
+  /// shared-lock probe). Miss: coalesced with concurrent misses into a
+  /// ProveAll sweep on the server's scheduler.
   bool Implies(const OrderDependency& dep) const;
   bool Implies(const AttributeList& lhs, const AttributeList& rhs) const {
     return Implies(OrderDependency(lhs, rhs));
@@ -182,7 +185,7 @@ class Session {
   /// Cost-based physical planning against the pinned snapshot: every
   /// table of `q` that declares no catalog of its own is bound to this
   /// session's frozen theory AND its shared epoch prover, so the plan's
-  /// sort/join-elision proofs come from (and land in) the epoch memo.
+  /// sort/join-elision proofs come from (and land in) the tenant memo.
   opt::PhysicalPlan Plan(opt::LogicalQuery q,
                          const opt::CostModel& cost = opt::CostModel(),
                          const opt::PlanOptions& options =
@@ -244,10 +247,10 @@ class Server {
   std::vector<std::string> Tenants() const;
 
   /// Writer path: applies the sweep to the tenant's master catalog (the
-  /// retainer prover's memo is swept per mutation with certificate-checked
-  /// retention) and publishes ONE new epoch state at the end, seeded with
-  /// everything the retainer kept. Throws std::out_of_range on unknown
-  /// tenants.
+  /// tenant memo is swept per mutation with certificate-checked retention,
+  /// while sessions keep reading it at their pinned epochs) and publishes
+  /// ONE new epoch state at the end: a snapshot, a replica prover on the
+  /// same memo, and a batcher. Throws std::out_of_range on unknown tenants.
   ApplyResult Apply(const std::string& tenant,
                     const std::vector<Mutation>& mutations);
   /// Single-mutation conveniences (one publish each).

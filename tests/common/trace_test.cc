@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
@@ -363,6 +364,45 @@ TEST(TraceTest, CompiledOutSpansAreNoOps) {
 }
 
 #endif  // OD_TRACE_ENABLED
+
+/// A span that opens and closes inside another must export inside it, for
+/// every placement of the four endpoints on a 250 ns grid over 6 µs —
+/// whole-µs truncation included. The explicit pair first is one that
+/// truncating the start and the duration separately exports as 0+4 and
+/// 1+4: a child ending after its parent.
+TEST(SpanMicrosTest, NestedSpansExportNested) {
+  using Clock = std::chrono::steady_clock;
+  const auto at = [](int64_t ns) {
+    return Clock::time_point(std::chrono::duration_cast<Clock::duration>(
+        std::chrono::nanoseconds(ns)));
+  };
+  const SpanMicros parent = ToSpanMicros(at(900), at(5500));
+  const SpanMicros child = ToSpanMicros(at(1000), at(5400));
+  EXPECT_EQ(parent.start_us, 0);
+  EXPECT_EQ(parent.dur_us, 5);
+  EXPECT_EQ(child.start_us, 1);
+  EXPECT_EQ(child.dur_us, 4);
+
+  constexpr int64_t kStep = 250;
+  constexpr int64_t kEnd = 6000;
+  int64_t pairs = 0;
+  for (int64_t ps = 0; ps <= kEnd; ps += kStep) {
+    for (int64_t cs = ps; cs <= kEnd; cs += kStep) {
+      for (int64_t ce = cs; ce <= kEnd; ce += kStep) {
+        for (int64_t pe = ce; pe <= kEnd; pe += kStep) {
+          const SpanMicros p = ToSpanMicros(at(ps), at(pe));
+          const SpanMicros c = ToSpanMicros(at(cs), at(ce));
+          ASSERT_GE(c.start_us, p.start_us);
+          ASSERT_LE(c.start_us + c.dur_us, p.start_us + p.dur_us)
+              << "parent " << ps << "-" << pe << " ns, child " << cs << "-"
+              << ce << " ns";
+          ++pairs;
+        }
+      }
+    }
+  }
+  EXPECT_GT(pairs, 20000);
+}
 
 }  // namespace
 }  // namespace common

@@ -29,8 +29,6 @@ TEST(IncrementalProverTest, StatsSplitAndReset) {
   EXPECT_TRUE(pv.Implies(q));
   EXPECT_EQ(pv.searches_executed(), 1);
   EXPECT_EQ(pv.cache_hits(), 1);
-  // search_count() stays as the executed-searches alias.
-  EXPECT_EQ(pv.search_count(), pv.searches_executed());
   EXPECT_EQ(pv.memo_size(), 1);
   pv.ResetStats();
   EXPECT_EQ(pv.searches_executed(), 0);

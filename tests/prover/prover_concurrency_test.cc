@@ -87,8 +87,8 @@ TEST_P(ProverConcurrencyTest, HammeredProverMatchesSerial) {
   EXPECT_EQ(mismatches.load(), 0);
   // Duplicate races may re-run a search, but never more than once per
   // thread per distinct query — and the serial count is a lower bound.
-  EXPECT_GE(shared.search_count(), serial.search_count());
-  EXPECT_LE(shared.search_count(), serial.search_count() * kThreads);
+  EXPECT_GE(shared.searches_executed(), serial.searches_executed());
+  EXPECT_LE(shared.searches_executed(), serial.searches_executed() * kThreads);
 }
 
 TEST_P(ProverConcurrencyTest, ProveAllMatchesSerialLoop) {

@@ -160,17 +160,17 @@ TEST(ProverTest, CounterexampleSharesTheMemo) {
 
   // A cached "implied" answers Counterexample with no extra search.
   EXPECT_TRUE(pv.Implies(implied));
-  EXPECT_EQ(pv.search_count(), 1);
+  EXPECT_EQ(pv.searches_executed(), 1);
   EXPECT_FALSE(pv.Counterexample(implied).has_value());
-  EXPECT_EQ(pv.search_count(), 1);
+  EXPECT_EQ(pv.searches_executed(), 1);
 
   // A cached "not implied" stores the falsifying model itself: the
   // Counterexample call materializes it as a cache hit, no extra search.
   EXPECT_FALSE(pv.Implies(refuted));
-  EXPECT_EQ(pv.search_count(), 2);
+  EXPECT_EQ(pv.searches_executed(), 2);
   auto cex = pv.Counterexample(refuted);
   ASSERT_TRUE(cex.has_value());
-  EXPECT_EQ(pv.search_count(), 2);
+  EXPECT_EQ(pv.searches_executed(), 2);
   EXPECT_EQ(pv.cache_hits(), 2);  // the implied probe above, plus this one
   // The cached model is a genuine countermexample: satisfies ℳ, breaks dep.
   EXPECT_TRUE(Satisfies(*cex, pv.deps()));
@@ -185,9 +185,9 @@ TEST(ProverTest, CounterexamplePopulatesTheMemo) {
   // Counterexample first: one search, and the boolean lands in the memo so
   // the subsequent Implies is a pure lookup.
   EXPECT_TRUE(pv.Counterexample(refuted).has_value());
-  EXPECT_EQ(pv.search_count(), 1);
+  EXPECT_EQ(pv.searches_executed(), 1);
   EXPECT_FALSE(pv.Implies(refuted));
-  EXPECT_EQ(pv.search_count(), 1);
+  EXPECT_EQ(pv.searches_executed(), 1);
 }
 
 TEST(ProverTest, ConstantsShortCircuitThroughFdProjection) {
@@ -198,18 +198,18 @@ TEST(ProverTest, ConstantsShortCircuitThroughFdProjection) {
   Prover pv(Parse(&names, "[] -> [k]; [k] -> [j]"));
   EXPECT_EQ(pv.Constants(),
             (AttributeSet{names.Lookup("k"), names.Lookup("j")}));
-  EXPECT_EQ(pv.search_count(), 0);
+  EXPECT_EQ(pv.searches_executed(), 0);
   // And the seeded memo answers the equivalent Implies without searching.
   EXPECT_TRUE(pv.Implies(AttributeList::EmptyList(),
                          AttributeList({names.Lookup("k")})));
-  EXPECT_EQ(pv.search_count(), 0);
+  EXPECT_EQ(pv.searches_executed(), 0);
 }
 
 TEST(ProverTest, EmptyTheoryConstantsNeedNoSearch) {
   Prover pv((DependencySet()));
   EXPECT_FALSE(pv.IsConstant(0));
   EXPECT_TRUE(pv.Constants().IsEmpty());
-  EXPECT_EQ(pv.search_count(), 0);
+  EXPECT_EQ(pv.searches_executed(), 0);
 }
 
 TEST(ProverTest, FdConstantStillFallsBackForNonConstants) {
@@ -218,9 +218,9 @@ TEST(ProverTest, FdConstantStillFallsBackForNonConstants) {
   NameTable names;
   Prover pv(Parse(&names, "[] -> [k]; [a] -> [b]"));
   EXPECT_TRUE(pv.IsConstant(names.Lookup("k")));
-  EXPECT_EQ(pv.search_count(), 0);
+  EXPECT_EQ(pv.searches_executed(), 0);
   EXPECT_FALSE(pv.IsConstant(names.Lookup("a")));
-  EXPECT_EQ(pv.search_count(), 1);
+  EXPECT_EQ(pv.searches_executed(), 1);
 }
 
 TEST(ProverTest, OrderCompatibilityDefinition) {

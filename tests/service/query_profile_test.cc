@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -248,6 +249,8 @@ TEST(QueryProfileTest, DumpFlightRecorderCoversAllTenants) {
 
 struct SpanEv {
   std::string name;
+  int64_t ts = 0;
+  int64_t dur = 0;
   uint64_t trace_id = 0;
   uint64_t span_id = 0;
   uint64_t parent_id = 0;
@@ -269,6 +272,8 @@ std::vector<SpanEv> ParseSpans(const std::string& json) {
                  : std::strtoull(json.c_str() + p + std::strlen(key),
                                  nullptr, 10);
     };
+    e.ts = static_cast<int64_t>(field("\"ts\":"));
+    e.dur = static_cast<int64_t>(field("\"dur\":"));
     e.trace_id = field("\"trace_id\":");
     e.span_id = field("\"span_id\":");
     e.parent_id = field("\"parent_id\":");
@@ -398,6 +403,45 @@ TEST_F(TracedServiceTest, SpillSpansCarryTheRequestTrace) {
     EXPECT_GT(ids_in_trace.count(e.parent_id), 0u);
   }
   EXPECT_GT(spill_spans, 0);
+}
+
+/// The writer-path attribution rests on this: an Apply's memo sweeps and
+/// its publication are children of its service.apply span, inside it in
+/// time as well as in the tree.
+TEST_F(TracedServiceTest, ApplySweepsAndPublishNestInsideApply) {
+  Server server;
+  server.CreateTenant("qp_apply_spans", warehouse::TaxOds());
+  Session s = server.OpenSession("qp_apply_spans");
+  s.ProveAll({Od({0}, {1}), Od({1}, {0}), Od({2}, {1})});
+  common::Tracer::Global().Clear();
+  for (int i = 0; i < 20; ++i) {
+    const theory::ConstraintId id =
+        server.Add("qp_apply_spans", Od({7}, {8}));
+    server.Remove("qp_apply_spans", id);
+  }
+
+  common::Tracer::Global().Disable();
+  const auto events =
+      ParseSpans(common::Tracer::Global().ExportChromeTrace());
+  std::map<uint64_t, const SpanEv*> applies;
+  for (const auto& e : events) {
+    if (e.name == "service.apply") applies[e.span_id] = &e;
+  }
+  ASSERT_EQ(applies.size(), 40u);
+  int sweeps = 0;
+  int publishes = 0;
+  for (const auto& e : events) {
+    if (e.name != "prover.memo_sweep" && e.name != "service.publish") continue;
+    (e.name == "service.publish" ? publishes : sweeps) += 1;
+    auto parent = applies.find(e.parent_id);
+    ASSERT_NE(parent, applies.end()) << e.name << " outside service.apply";
+    const SpanEv& apply = *parent->second;
+    EXPECT_EQ(e.trace_id, apply.trace_id);
+    EXPECT_GE(e.ts, apply.ts) << e.name;
+    EXPECT_LE(e.ts + e.dur, apply.ts + apply.dur) << e.name;
+  }
+  EXPECT_EQ(sweeps, 40);
+  EXPECT_EQ(publishes, 40);
 }
 
 #endif  // OD_TRACE_ENABLED

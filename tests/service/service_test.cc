@@ -1,8 +1,8 @@
 // Functional suite for the multi-tenant OD service: session pinning and
-// snapshot isolation, the shared (tenant, epoch) memo, memo seeding across
-// publications, group-commit batching, planning against pinned snapshots,
-// tenant isolation, and per-tenant labeled metrics round-tripping through
-// both exporters.
+// snapshot isolation, the tenant memo and its epoch windows, retention
+// across publications, group-commit batching, planning against pinned
+// snapshots, tenant isolation, and per-tenant labeled metrics
+// round-tripping through both exporters.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 
 #include "common/metrics.h"
 #include "common/thread_pool.h"
+#include "core/witness.h"
 #include "engine/index.h"
 #include "engine/table.h"
 #include "service/service.h"
@@ -102,9 +103,9 @@ TEST(ServiceTest, SessionsShareTheEpochMemo) {
 
 TEST(ServiceTest, PublicationCarriesMemoAcrossEpochs) {
   // The retention loop end to end: answers computed by sessions at epoch E
-  // fold into the per-tenant retainer at the next Apply, survive the
-  // mutation sweeps by certificate, and seed the epoch-E+1 prover — so a
-  // re-ask at the new epoch is a memo hit, not a search.
+  // land in the tenant memo, survive the mutation sweeps by certificate,
+  // and stay open-ended — so a re-ask at epoch E+1 is a memo hit, not a
+  // search.
   Server server;
   server.CreateTenant("t");
   server.Add("t", Od({0}, {1}));
@@ -124,10 +125,10 @@ TEST(ServiceTest, PublicationCarriesMemoAcrossEpochs) {
   EXPECT_EQ(r.epoch, server.PublishedEpoch("t"));
   EXPECT_GE(r.memo_seeded, 4) << "retention lost the warmed answers";
   TenantStats st = server.Stats("t");
-  EXPECT_EQ(r.memo_seeded, st.retainer_memo_size);
-  EXPECT_GE(st.epoch_memo_size, 4) << "published prover was not seeded";
+  EXPECT_EQ(r.memo_seeded, st.epoch_memo_size);
+  EXPECT_EQ(st.memo_invalidated, 0);
 
-  // Re-ask at the new epoch: every warmed answer comes from the seeded
+  // Re-ask at the new epoch: every warmed answer comes from the tenant
   // memo — zero model searches on the fresh epoch prover.
   s.Refresh();
   EXPECT_EQ(s.epoch(), r.epoch);
@@ -136,6 +137,89 @@ TEST(ServiceTest, PublicationCarriesMemoAcrossEpochs) {
   EXPECT_EQ(s.pinned_prover().searches_executed(), searches_before)
       << "seeded answers were re-searched";
   EXPECT_TRUE(s.Implies(Od({3}, {4}))) << "new constraint reachable";
+}
+
+// The three tests below pin the memo's epoch windows: the first two fail
+// if a prover reads an entry whose window does not cover its epoch, the
+// third if a window closes while the entry's certificate still holds.
+
+TEST(ServiceTest, AnswerFlippedByTheNextEditReachesTheHead) {
+  Server server;
+  server.CreateTenant("t");
+  server.Add("t", Od({0}, {1}));
+  Session behind = server.OpenSession("t");
+  const uint64_t e0 = behind.epoch();
+
+  // Stored at the head, then flipped by the edit: the sweep evicts it.
+  EXPECT_FALSE(behind.Implies(Od({1}, {2})));
+  server.Add("t", Od({1}, {2}));
+  // Asked only after the edit, by the session still pinned at e0: its
+  // answer is stored behind the head.
+  EXPECT_FALSE(behind.Implies(Od({0}, {2})));
+  EXPECT_EQ(behind.epoch(), e0);
+
+  Session head = server.OpenSession("t");
+  ASSERT_GT(head.epoch(), e0);
+  EXPECT_TRUE(head.Implies(Od({1}, {2}))) << "a flipped answer survived";
+  EXPECT_TRUE(head.Implies(Od({0}, {2})))
+      << "an answer stored at e0 was served at the head";
+  EXPECT_EQ(head.pinned_prover().searches_executed(), 2);
+}
+
+TEST(ServiceTest, AnswerDerivedAtTheHeadIsNotServedBehindIt) {
+  Server server;
+  server.CreateTenant("t");
+  server.Add("t", Od({0}, {1}));
+  Session behind = server.OpenSession("t");
+  server.Add("t", Od({1}, {2}));
+
+  Session head = server.OpenSession("t");
+  ASSERT_GT(head.epoch(), behind.epoch());
+  EXPECT_TRUE(head.Implies(Od({0}, {2})));
+  EXPECT_FALSE(behind.Implies(Od({0}, {2})))
+      << "an answer derived at the head was served at e0";
+  auto cex = behind.Counterexample(Od({0}, {2}));
+  ASSERT_TRUE(cex.has_value());
+  EXPECT_TRUE(Satisfies(*cex, behind.snapshot().deps));
+  // The head's entry still stands: a second head session hits it.
+  Session head2 = server.OpenSession("t");
+  const int64_t searches = head2.pinned_prover().searches_executed();
+  EXPECT_TRUE(head2.Implies(Od({0}, {2})));
+  EXPECT_EQ(head2.pinned_prover().searches_executed(), searches);
+}
+
+TEST(ServiceTest, EntrySurvivingSweepsHitsAtEveryEpochBetween) {
+  Server server;
+  server.CreateTenant("t");
+  server.Add("t", Od({0}, {1}));
+  server.Add("t", Od({1}, {2}));
+  std::vector<Session> sessions;
+  sessions.push_back(server.OpenSession("t"));
+  const OrderDependency q = Od({0}, {2});
+  EXPECT_TRUE(sessions[0].Implies(q));
+
+  // k = 4 sweeps over attributes q never touches: two adds and two
+  // removes, each keeping the entry by certificate. A session pins every
+  // epoch in between.
+  constexpr int kSweeps = 4;
+  std::vector<theory::ConstraintId> extra;
+  for (int k = 0; k < kSweeps; ++k) {
+    if (k < 2) {
+      extra.push_back(server.Add("t", Od({5 + k}, {7 + k})));
+    } else {
+      ASSERT_TRUE(server.Remove("t", extra[static_cast<size_t>(k - 2)]));
+    }
+    sessions.push_back(server.OpenSession("t"));
+  }
+  for (size_t i = 0; i < sessions.size(); ++i) {
+    const prover::Prover& pv = sessions[i].pinned_prover();
+    EXPECT_EQ(sessions[i].epoch(), sessions[0].epoch() + i);
+    const int64_t searches = pv.searches_executed();
+    const int64_t hits = pv.cache_hits();
+    EXPECT_TRUE(sessions[i].Implies(q));
+    EXPECT_EQ(pv.searches_executed(), searches) << "epoch offset " << i;
+    EXPECT_EQ(pv.cache_hits(), hits + 1) << "epoch offset " << i;
+  }
 }
 
 TEST(ServiceTest, ConcurrentImpliesCoalesceIntoBatches) {
