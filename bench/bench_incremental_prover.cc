@@ -115,10 +115,13 @@ void BM_ChurnRebuild(benchmark::State& state) {
 }
 
 /// The mutation fast path itself: how much does one Add/Remove pair cost a
-/// prover carrying a fully warmed memo (the sweep touches every shard)?
-/// The memo is re-warmed outside the timed region each iteration —
-/// otherwise successive evictions would drain it and later sweeps would
-/// measure a nearly empty map.
+/// prover carrying a fully warmed memo? Each sweep visits every shard but
+/// looks only at the entries the edit reaches through the shard's
+/// certificate index; on this chain catalog a link's removal and re-add
+/// reach much of the memo, so index upkeep shows here. The memo is
+/// re-warmed outside the timed region each iteration — otherwise
+/// successive evictions would drain it and later sweeps would measure a
+/// nearly empty map.
 void BM_MutationSweepCost(benchmark::State& state) {
   const std::vector<OrderDependency> queries = PairQueries(kAttrs);
   auto th = std::make_shared<theory::Theory>(ChainTheory(kAttrs));

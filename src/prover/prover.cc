@@ -1,8 +1,12 @@
 #include "prover/prover.h"
 
 #include <algorithm>
+#include <array>
+#include <cassert>
 #include <cstdint>
 #include <mutex>
+#include <shared_mutex>
+#include <unordered_map>
 #include <utility>
 
 #include "common/metrics.h"
@@ -45,7 +49,154 @@ ProverMetrics& Metrics() {
   return *m;
 }
 
+/// The end of an entry window that no sweep has closed.
+constexpr uint64_t kOpenEnded = UINT64_MAX;
+constexpr size_t kCacheShards = 16;
+
+/// A set of a shard's entry slots: one bit per slot, grown on demand. The
+/// sweep index keeps one per attribute and per constraint id, so a bit
+/// rather than a pointer per posting keeps the index a small fraction of
+/// the memo.
+class SlotSet {
+ public:
+  void Insert(uint32_t slot) {
+    const size_t word = slot / 64;
+    if (word >= words_.size()) words_.resize(word + 1, 0);
+    words_[word] |= Bit(slot);
+  }
+  void Erase(uint32_t slot) {
+    const size_t word = slot / 64;
+    if (word < words_.size()) words_[word] &= ~Bit(slot);
+  }
+  void UnionWith(const SlotSet& other) {
+    if (other.words_.size() > words_.size()) {
+      words_.resize(other.words_.size(), 0);
+    }
+    for (size_t i = 0; i < other.words_.size(); ++i) {
+      words_[i] |= other.words_[i];
+    }
+  }
+  /// Calls `f(slot)` for every member in increasing order; `f` must not
+  /// modify this set.
+  template <typename F>
+  void ForEach(F&& f) const {
+    for (size_t i = 0; i < words_.size(); ++i) {
+      for (uint64_t w = words_[i]; w != 0; w &= w - 1) {
+        f(static_cast<uint32_t>(i * 64 + __builtin_ctzll(w)));
+      }
+    }
+  }
+
+ private:
+  static uint64_t Bit(uint32_t slot) { return uint64_t{1} << (slot % 64); }
+  std::vector<uint64_t> words_;
+};
+
 }  // namespace
+
+/// One memoized answer plus its survival certificate. Positive entries
+/// carry `support` (ids of the constraints the deriving search used);
+/// negative entries carry `model` (the falsifying two-row model found).
+/// The answer holds at every epoch in [epoch, end).
+struct Prover::Entry {
+  bool implied;
+  /// This entry's place in its shard's sweep index.
+  uint32_t slot = 0;
+  uint64_t epoch;
+  uint64_t end;
+  std::vector<theory::ConstraintId> support;
+  std::optional<SignVector> model;
+
+  bool HoldsAt(uint64_t e) const { return epoch <= e && e < end; }
+};
+
+/// One memo stripe: its entries and the index the sweeps read, all guarded
+/// by `mu`. Every entry owns a dense slot (`nodes[slot]` is its map node,
+/// which stays put across rehashes); an evicted entry's slot is reused.
+/// Open-ended entries are posted by certificate, entries stored behind the
+/// head are listed in `closed`.
+struct Prover::CacheShard {
+  using Map = std::unordered_map<OrderDependency, Entry, OrderDependencyHash>;
+
+  mutable std::shared_mutex mu;
+  Map map;
+  std::vector<Map::value_type*> nodes;
+  std::vector<uint32_t> free_slots;
+  SlotSet closed;
+  /// Open-ended negatives, under each attribute their countermodel orders.
+  std::vector<SlotSet> by_attribute;
+  /// Open-ended positives, under each constraint id their support names.
+  std::unordered_map<theory::ConstraintId, SlotSet> by_support;
+  int64_t open_positives = 0;
+  int64_t open_negatives = 0;
+
+  uint32_t AcquireSlot(Map::value_type* node) {
+    if (free_slots.empty()) {
+      nodes.push_back(node);
+      return static_cast<uint32_t>(nodes.size() - 1);
+    }
+    const uint32_t slot = free_slots.back();
+    free_slots.pop_back();
+    nodes[slot] = node;
+    return slot;
+  }
+
+  /// Posts an open-ended entry under its certificate.
+  void Index(const Entry& entry) {
+    if (entry.implied) {
+      for (theory::ConstraintId id : entry.support) {
+        by_support[id].Insert(entry.slot);
+      }
+      ++open_positives;
+      return;
+    }
+    const SignVector& model = *entry.model;
+    if (static_cast<size_t>(model.size()) > by_attribute.size()) {
+      by_attribute.resize(model.size());
+    }
+    for (AttributeId a = 0; a < model.size(); ++a) {
+      if (model.Get(a) != 0) by_attribute[a].Insert(entry.slot);
+    }
+    ++open_negatives;
+  }
+
+  /// Drops the open-ended entry in `slot` from the index, then from the
+  /// memo. Postings under a constraint id already taken out of by_support
+  /// are skipped: that list is gone whole.
+  void Evict(uint32_t slot) {
+    const Entry& entry = nodes[slot]->second;
+    if (entry.implied) {
+      for (theory::ConstraintId id : entry.support) {
+        auto it = by_support.find(id);
+        if (it != by_support.end()) it->second.Erase(slot);
+      }
+      --open_positives;
+    } else {
+      const SignVector& model = *entry.model;
+      for (AttributeId a = 0; a < model.size(); ++a) {
+        if (model.Get(a) != 0) by_attribute[a].Erase(slot);
+      }
+      --open_negatives;
+    }
+    Free(slot);
+  }
+
+  /// Erases the entry in `slot` from the memo and frees the slot; the
+  /// caller has already taken it out of the index.
+  void Free(uint32_t slot) {
+    map.erase(map.find(nodes[slot]->first));
+    nodes[slot] = nullptr;
+    free_slots.push_back(slot);
+  }
+};
+
+/// The memo an owner prover shares with its replicas. `head` is the owner
+/// theory's epoch as of the latest sweep.
+struct Prover::Memo {
+  explicit Memo(uint64_t epoch) : head(epoch) {}
+  std::array<CacheShard, kCacheShards> shards;
+  std::atomic<uint64_t> head;
+};
 
 Prover::Prover(std::shared_ptr<theory::Theory> theory)
     : theory_(std::move(theory)),
@@ -113,17 +264,34 @@ void Prover::CacheStore(CacheShard& shard, const OrderDependency& dep,
     entry.support.reserve(search_support.size());
     for (int index : search_support) entry.support.push_back(ids[index]);
   } else {
+    // The index posts a negative under its countermodel; one without a
+    // countermodel could never be re-checked.
+    assert(model.has_value());
     entry.model = std::move(model);
   }
   std::unique_lock<std::shared_mutex> lock(shard.mu);
   // The head is read under the shard lock, and a sweep advances it before
-  // it locks any shard: an entry marked open-ended here is always walked
-  // by the sweep that moves the head past it.
+  // it locks any shard: an entry marked open-ended here is always indexed
+  // before the sweep that moves the head past it reads this shard.
   entry.end = entry.epoch == memo_->head.load() ? kOpenEnded
                                                 : entry.epoch + 1;
   auto [it, inserted] = shard.map.try_emplace(dep, std::move(entry));
-  if (!inserted && it->second.end != kOpenEnded) {
-    it->second = std::move(entry);  // try_emplace left `entry` intact
+  if (inserted) {
+    it->second.slot = shard.AcquireSlot(&*it);
+  } else if (it->second.end != kOpenEnded) {
+    // Stored behind the head, so indexed only in `closed`: the new entry
+    // takes over its slot. try_emplace left `entry` intact.
+    entry.slot = it->second.slot;
+    it->second = std::move(entry);
+  } else {
+    return;
+  }
+  const Entry& stored = it->second;
+  if (stored.end == kOpenEnded) {
+    shard.closed.Erase(stored.slot);
+    shard.Index(stored);
+  } else {
+    shard.closed.Insert(stored.slot);
   }
 }
 
@@ -158,58 +326,68 @@ void Prover::OnTheoryChange(const theory::ChangeEvent& event) const {
   // The theory already reflects the change; sweep the memo with the
   // monotonicity rules. Runs inside Add/Remove, which the contract forbids
   // racing with queries on this prover — but replicas sharing the memo
-  // query it concurrently, so every shard is walked under its lock.
+  // query it concurrently, so every shard is swept under its lock.
   OD_TRACE_SPAN("prover.memo_sweep");
   memo_->head.store(event.epoch);
   const bool added = event.kind == theory::ChangeEvent::Kind::kAdd;
+  const std::vector<AttributeId> rhs = event.od.rhs.ToSet().ToVector();
   int64_t invalidated = 0;
   int64_t retained = 0;
   int64_t kept = 0;
+  int64_t reached = 0;
   for (CacheShard& shard : memo_->shards) {
     std::unique_lock<std::shared_mutex> lock(shard.mu);
-    for (auto it = shard.map.begin(); it != shard.map.end();) {
-      const Entry& entry = it->second;
-      bool evict;
-      if (entry.end != kOpenEnded) {
-        // Stored behind the head and never checked against a later
-        // catalog: it cannot hold at the new head.
-        it = shard.map.erase(it);
-        continue;
-      }
-      if (added) {
-        if (entry.implied) {
-          // Monotone: positives stay sound under any add.
-          evict = false;
-        } else {
-          // A negative survives iff its countermodel also satisfies the
-          // new constraint — then it is still a model of ℳ ∪ {c} that
-          // falsifies the query.
-          evict = !entry.model.has_value() ||
-                  !ExtendedSatisfies(*entry.model, event.od);
-          if (!evict) ++retained;
+    // Stored behind the head and never checked against a later catalog:
+    // none of these holds at the new head.
+    std::exchange(shard.closed, SlotSet()).ForEach([&](uint32_t slot) {
+      shard.Free(slot);
+    });
+    int64_t evicted = 0;
+    if (added) {
+      // Monotone: positives stay sound under any add. A negative survives
+      // iff its countermodel also satisfies the new constraint — then it
+      // is still a model of ℳ ∪ {c} that falsifies the query — and a
+      // countermodel whose rows agree on every attribute of c's right side
+      // satisfies c outright, so only those ordering one can fail.
+      SlotSet reachable;
+      for (AttributeId a : rhs) {
+        if (static_cast<size_t>(a) < shard.by_attribute.size()) {
+          reachable.UnionWith(shard.by_attribute[a]);
         }
-      } else if (entry.implied) {
-        // Anti-monotone removal: a positive survives iff its support
-        // certificate proves the removed constraint irrelevant.
-        evict = std::find(entry.support.begin(), entry.support.end(),
-                          event.id) != entry.support.end();
-        if (!evict) ++retained;
-      } else {
-        // Negatives stay sound under removal.
-        evict = false;
       }
-      if (evict) {
-        it = shard.map.erase(it);
-        ++invalidated;
-      } else {
-        ++it;
-        ++kept;
+      const int64_t negatives = shard.open_negatives;
+      reachable.ForEach([&](uint32_t slot) {
+        ++reached;
+        if (!ExtendedSatisfies(*shard.nodes[slot]->second.model, event.od)) {
+          shard.Evict(slot);
+          ++evicted;
+        }
+      });
+      retained += negatives - evicted;
+    } else {
+      // Anti-monotone removal: a positive survives iff its support
+      // certificate proves the removed constraint irrelevant; negatives
+      // stay sound. Ids are never reused, so the list goes whole.
+      const int64_t positives = shard.open_positives;
+      auto named = shard.by_support.find(event.id);
+      if (named != shard.by_support.end()) {
+        const SlotSet slots = std::move(named->second);
+        shard.by_support.erase(named);
+        slots.ForEach([&](uint32_t slot) {
+          ++reached;
+          shard.Evict(slot);
+          ++evicted;
+        });
       }
+      retained += positives - evicted;
     }
+    invalidated += evicted;
+    kept += shard.open_positives + shard.open_negatives;
   }
   entries_invalidated_.fetch_add(invalidated, std::memory_order_relaxed);
   entries_retained_.fetch_add(retained, std::memory_order_relaxed);
   last_sweep_kept_.store(kept, std::memory_order_relaxed);
+  last_sweep_reached_.store(reached, std::memory_order_relaxed);
   Metrics().invalidated.Add(invalidated);
   Metrics().retained.Add(retained);
 }

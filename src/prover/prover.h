@@ -1,13 +1,10 @@
 #ifndef OD_PROVER_PROVER_H_
 #define OD_PROVER_PROVER_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <shared_mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "core/dependency.h"
@@ -69,10 +66,18 @@ namespace prover {
 /// sound as the head moves, and evict it when its certificate fails. An
 /// answer stored by a replica pinned behind the head (see the replica
 /// constructor) ends at its epoch + 1: no sweep ever checked it against a
-/// later catalog. Each sweep advances the head *before* it walks the
+/// later catalog. Each sweep advances the head *before* it visits the
 /// shards, and stores read the head under the shard lock, so a store
 /// either lands before the sweep reaches its shard (and is checked) or
 /// sees the new head (and is closed); none slips past.
+///
+/// A sweep looks only at the entries its edit can reach. Each shard
+/// indexes its open-ended entries by certificate: negatives under every
+/// attribute their countermodel orders (two rows that agree on all of Y
+/// satisfy any X ↦ Y, so `Add(c)` can only break a countermodel ordering
+/// an attribute of c's right side), positives under every constraint id
+/// their support names (`Remove(c)` evicts exactly those). Entries stored
+/// behind the head sit on a per-shard list the next sweep drops.
 ///
 /// ## Ownership
 ///
@@ -90,7 +95,8 @@ namespace prover {
 /// All query methods are safe to call concurrently on one Prover instance.
 /// The memo is an unordered_map striped across shared-mutex shards keyed
 /// by OrderDependencyHash — lookups take a shard in shared mode,
-/// insertions in exclusive mode — and the stats counters are atomic (they
+/// insertions (which also update the shard's index) and sweeps in
+/// exclusive mode — and the stats counters are atomic (they
 /// count this prover's own queries, also when the memo is shared). Model
 /// searches run outside any lock, so two threads racing on the same fresh
 /// query may both execute the search; they compute the same answer (the
@@ -218,6 +224,13 @@ class Prover {
   int64_t last_sweep_kept() const {
     return last_sweep_kept_.load(std::memory_order_relaxed);
   }
+  /// Open-ended entries the most recent sweep looked at: for an Add, the
+  /// negatives whose countermodel orders an attribute of its right side;
+  /// for a Remove, the positives whose support names it. What a sweep
+  /// costs, as against last_sweep_kept(). 0 before any sweep.
+  int64_t last_sweep_reached() const {
+    return last_sweep_reached_.load(std::memory_order_relaxed);
+  }
 
   /// Number of entries currently memoized, over every epoch window (takes
   /// every shard lock; meant for tests and diagnostics, not hot paths).
@@ -230,38 +243,12 @@ class Prover {
   std::optional<uint64_t> entry_epoch(const OrderDependency& dep) const;
 
  private:
-  /// The end of an entry window that no sweep has closed.
-  static constexpr uint64_t kOpenEnded = UINT64_MAX;
-
-  /// One memoized answer plus its survival certificate. Positive entries
-  /// carry `support` (ids of the constraints the deriving search used);
-  /// negative entries carry `model` (the falsifying two-row model found).
-  /// The answer holds at every epoch in [epoch, end).
-  struct Entry {
-    bool implied;
-    uint64_t epoch;
-    uint64_t end;
-    std::vector<theory::ConstraintId> support;
-    std::optional<SignVector> model;
-
-    bool HoldsAt(uint64_t e) const { return epoch <= e && e < end; }
-  };
-
-  /// The memo stripe for `dep` plus its hash, so Implies and Counterexample
-  /// agree on placement.
-  struct CacheShard {
-    mutable std::shared_mutex mu;
-    std::unordered_map<OrderDependency, Entry, OrderDependencyHash> map;
-  };
-  static constexpr size_t kCacheShards = 16;
-
-  /// The memo an owner prover shares with its replicas. `head` is the
-  /// owner theory's epoch as of the latest sweep.
-  struct Memo {
-    explicit Memo(uint64_t epoch) : head(epoch) {}
-    std::array<CacheShard, kCacheShards> shards;
-    std::atomic<uint64_t> head;
-  };
+  /// One memoized answer plus its certificate, and the memo it lives in:
+  /// 16 lock-striped shards, each indexing its entries for the sweeps (all
+  /// defined in prover.cc).
+  struct Entry;
+  struct CacheShard;
+  struct Memo;
 
   CacheShard& ShardFor(const OrderDependency& dep) const;
   /// Cached answer for `dep`, if one holds at epoch() (shared lock).
@@ -277,12 +264,13 @@ class Prover {
   /// entry gives way to the new one.
   /// `search_support` holds indices into deps().ods() as reported by the
   /// model search (translated to stable ids here; used for positives);
-  /// `model` is the falsifying model (negatives).
+  /// `model` is the falsifying model (negatives must carry one).
   void CacheStore(CacheShard& shard, const OrderDependency& dep, bool implied,
                   const std::vector<int>& search_support,
                   std::optional<SignVector> model) const;
   /// Monotonicity-aware memo sweep, run from the theory's change feed:
-  /// advances the head, then drops every entry that does not hold at it.
+  /// advances the head, then drops every entry that does not hold at it,
+  /// looking only at the entries the change can reach.
   void OnTheoryChange(const theory::ChangeEvent& event) const;
   /// Zero-extends a stored countermodel to the current attribute universe
   /// and materializes its two-row relation.
@@ -301,6 +289,7 @@ class Prover {
   mutable std::atomic<int64_t> entries_invalidated_{0};
   mutable std::atomic<int64_t> entries_retained_{0};
   mutable std::atomic<int64_t> last_sweep_kept_{0};
+  mutable std::atomic<int64_t> last_sweep_reached_{0};
 };
 
 }  // namespace prover

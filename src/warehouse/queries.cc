@@ -83,10 +83,13 @@ opt::LogicalQuery ToLogicalQuery(const opt::DateRangeQuery& q,
   const DateDimColumns d;
   opt::LogicalQuery lq;
   lq.name = q.name;
+  // The fact table declares no ODs. Its catalog is empty rather than
+  // null: Session::Plan binds the tenant catalog to every table whose
+  // catalog is null, and the date ODs name date_dim's columns.
   lq.tables.push_back(
       opt::TableRef{"store_sales", fact, fact_sk_index, fact_parts,
-                    /*ods=*/nullptr, /*prover=*/nullptr,
-                    /*natural_order_col=*/-1});
+                    /*ods=*/std::make_shared<theory::Theory>(),
+                    /*prover=*/nullptr, /*natural_order_col=*/-1});
   lq.tables.push_back(opt::TableRef{"date_dim", dim, /*index=*/nullptr,
                                     /*partitions=*/nullptr,
                                     std::move(dim_ods), /*prover=*/nullptr,

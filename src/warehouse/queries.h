@@ -35,7 +35,9 @@ std::vector<opt::DateRangeQuery> TpcdsDateQueries(int start_year,
 /// A rewritable date query as a logical star query: fact ⋈ date_dim with
 /// the dim predicates, aggregating fact measures. With `dim_ods` declaring
 /// [d_date_sk] ↔ [d_date], the planner can *prove* the join away and turn
-/// the dim predicates into a fact-side surrogate range.
+/// the dim predicates into a fact-side surrogate range. The fact table gets
+/// an empty catalog of its own, so a null `dim_ods` lets Session::Plan bind
+/// the tenant catalog to date_dim alone.
 opt::LogicalQuery ToLogicalQuery(const opt::DateRangeQuery& q,
                                  const engine::Table* fact,
                                  const engine::Table* dim,

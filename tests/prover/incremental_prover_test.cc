@@ -1,17 +1,20 @@
 // Incremental re-proving: memo retention across Theory mutations, the
-// split stats API, and the churn-sweep search-reduction gate (the prover
+// split stats API, the churn-sweep search-reduction gate (the prover
 // must execute ≥5× fewer model searches than rebuild-from-scratch on a
 // 90%-retained add/drop workload — the headline economics of the
-// versioned-theory redesign). Counts are deterministic serially, so these
-// are exact assertions, not timing-based flakes.
+// versioned-theory redesign), and what a sweep reaches through the memo's
+// certificate index. Counts are deterministic serially, so these are
+// exact assertions, not timing-based flakes.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <random>
 #include <vector>
 
 #include "core/parser.h"
+#include "core/witness.h"
 #include "prover/prover.h"
 #include "theory/theory.h"
 
@@ -214,6 +217,158 @@ TEST(IncrementalProverTest, ChurnSweepExecutesFiveTimesFewerSearches) {
   // And the two provers agree exactly at the final epoch.
   Prover fresh(th->deps());
   EXPECT_EQ(incremental.ProveAll(queries), fresh.ProveAll(queries));
+}
+
+/// A warmed chain-theory memo and its answer split, for the sweep-reach
+/// tests: every query is a distinct open-ended entry.
+struct WarmMemo {
+  std::vector<OrderDependency> queries;
+  std::vector<OrderDependency> negatives;
+  int64_t positives = 0;
+};
+
+WarmMemo Warm(Prover& pv, int n) {
+  WarmMemo warm;
+  warm.queries = PairQueries(n);
+  const std::vector<bool> answers = pv.ProveAll(warm.queries);
+  for (size_t i = 0; i < answers.size(); ++i) {
+    if (answers[i]) {
+      ++warm.positives;
+    } else {
+      warm.negatives.push_back(warm.queries[i]);
+    }
+  }
+  EXPECT_EQ(pv.memo_size(), static_cast<int64_t>(warm.queries.size()));
+  pv.ResetStats();
+  return warm;
+}
+
+/// Whether the stored countermodel for negative `q` orders attribute `a`,
+/// read back through Counterexample (a memo hit, no search).
+bool CountermodelOrders(const Prover& pv, const OrderDependency& q,
+                        AttributeId a) {
+  const std::optional<Relation> model = pv.Counterexample(q);
+  EXPECT_TRUE(model.has_value()) << q.ToString();
+  return model && !(model->At(0, a) == model->At(1, a));
+}
+
+TEST(IncrementalProverTest, AddNoCountermodelOrdersReachesNothing) {
+  const int n = 6;
+  auto th = std::make_shared<theory::Theory>(ChainTheory(n));
+  Prover pv(th);
+  const WarmMemo warm = Warm(pv, n);
+  const int64_t negatives = static_cast<int64_t>(warm.negatives.size());
+  ASSERT_GT(negatives, 0);
+  ASSERT_GT(warm.positives, 0);
+
+  // Attribute 7 is outside every countermodel, so no stored negative can
+  // violate a constraint ordering it: the sweep looks at nothing, yet
+  // reports what a walk of every entry would.
+  th->Add(AttributeList({0}), AttributeList({7}));
+  EXPECT_EQ(pv.last_sweep_reached(), 0);
+  EXPECT_EQ(pv.entries_invalidated(), 0);
+  EXPECT_EQ(pv.entries_retained(), negatives);
+  EXPECT_EQ(pv.last_sweep_kept(), negatives + warm.positives);
+  EXPECT_EQ(pv.memo_size(), negatives + warm.positives);
+  pv.ProveAll(warm.queries);
+  EXPECT_EQ(pv.searches_executed(), 0);
+}
+
+TEST(IncrementalProverTest, RemoveNoSupportNamesReachesNothing) {
+  const int n = 6;
+  DependencySet m = ChainTheory(n);
+  m.Add(AttributeList({8}), AttributeList({9}));
+  auto th = std::make_shared<theory::Theory>(m);
+  Prover pv(th);
+  const WarmMemo warm = Warm(pv, n);
+  const int64_t negatives = static_cast<int64_t>(warm.negatives.size());
+  ASSERT_GT(warm.positives, 0);
+
+  // [8] ↦ [9] shares no attribute with the chain queries, so no support
+  // names it.
+  th->Remove(th->ids().back());
+  EXPECT_EQ(pv.last_sweep_reached(), 0);
+  EXPECT_EQ(pv.entries_invalidated(), 0);
+  EXPECT_EQ(pv.entries_retained(), warm.positives);
+  EXPECT_EQ(pv.last_sweep_kept(), negatives + warm.positives);
+
+  // A chain link is named: the sweep reaches exactly the positives whose
+  // support names it and evicts each of them.
+  pv.ResetStats();
+  th->Remove(th->ids()[2]);
+  const int64_t evicted = pv.entries_invalidated();
+  EXPECT_GT(evicted, 0);
+  EXPECT_EQ(pv.last_sweep_reached(), evicted);
+  EXPECT_EQ(pv.entries_retained(), warm.positives - evicted);
+  EXPECT_EQ(pv.last_sweep_kept(), negatives + warm.positives - evicted);
+  Prover fresh(th->deps());
+  EXPECT_EQ(pv.ProveAll(warm.queries), fresh.ProveAll(warm.queries));
+}
+
+/// Adds `c` to a warmed chain memo and checks the sweep against an
+/// independent count: it reaches exactly the negatives whose countermodel
+/// orders `ordered`, each once, and evicts exactly those whose
+/// countermodel violates `c`.
+void ExpectAddReachesOrderingNegatives(const OrderDependency& c,
+                                       AttributeId ordered) {
+  const int n = 6;
+  auto th = std::make_shared<theory::Theory>(ChainTheory(n));
+  Prover pv(th);
+  const WarmMemo warm = Warm(pv, n);
+  const int64_t negatives = static_cast<int64_t>(warm.negatives.size());
+  int64_t reachable = 0;
+  int64_t violated = 0;
+  for (const OrderDependency& q : warm.negatives) {
+    if (!CountermodelOrders(pv, q, ordered)) continue;
+    ++reachable;
+    if (!Satisfies(*pv.Counterexample(q), c)) ++violated;
+  }
+  ASSERT_GT(violated, 0);
+  ASSERT_LT(violated, reachable);   // survivors would show a second visit
+  ASSERT_LT(reachable, negatives);  // the index must actually narrow
+  pv.ResetStats();
+
+  th->Add(c);
+  EXPECT_EQ(pv.last_sweep_reached(), reachable);
+  EXPECT_EQ(pv.entries_invalidated(), violated);
+  EXPECT_EQ(pv.entries_retained(), negatives - violated);
+  EXPECT_EQ(pv.last_sweep_kept(), negatives + warm.positives - violated);
+  EXPECT_EQ(pv.memo_size(), negatives + warm.positives - violated);
+  Prover fresh(th->deps());
+  EXPECT_EQ(pv.ProveAll(warm.queries), fresh.ProveAll(warm.queries));
+}
+
+TEST(IncrementalProverTest, AddReachesExactlyTheNegativesOrderingItsRhs) {
+  ExpectAddReachesOrderingNegatives(
+      OrderDependency(AttributeList({3}), AttributeList({2})), 2);
+}
+
+TEST(IncrementalProverTest, AddWithRepeatedRhsAttributeEvictsEachOnce) {
+  // Nothing rejects a repeated attribute in a list; the sweep must still
+  // visit, and evict, each reached negative once.
+  ExpectAddReachesOrderingNegatives(
+      OrderDependency(AttributeList({3}), AttributeList({2, 2})), 2);
+}
+
+TEST(IncrementalProverTest, AnswersStoredBehindTheHeadDropAtTheNextSweep) {
+  auto th = std::make_shared<theory::Theory>();
+  th->Add(AttributeList({0}), AttributeList({1}));
+  Prover owner(th);
+  const auto e0 = th->Snapshot();
+  th->Add(AttributeList({2}), AttributeList({3}));
+  Prover behind(*e0, owner);
+  const OrderDependency q(AttributeList({0}), AttributeList({1}));
+  EXPECT_TRUE(behind.Implies(q));
+  EXPECT_EQ(owner.memo_size(), 1);
+  EXPECT_FALSE(owner.entry_epoch(q).has_value());  // holds at e0 only
+
+  // Never checked against a later catalog, so the next sweep drops it
+  // without looking at it and without counting it as evicted.
+  th->Add(AttributeList({4}), AttributeList({5}));
+  EXPECT_EQ(owner.memo_size(), 0);
+  EXPECT_EQ(owner.last_sweep_reached(), 0);
+  EXPECT_EQ(owner.last_sweep_kept(), 0);
+  EXPECT_EQ(owner.entries_invalidated(), 0);
 }
 
 }  // namespace

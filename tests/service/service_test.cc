@@ -16,6 +16,7 @@
 #include "common/thread_pool.h"
 #include "core/witness.h"
 #include "engine/index.h"
+#include "engine/ops.h"
 #include "engine/table.h"
 #include "service/service.h"
 #include "warehouse/queries.h"
@@ -291,6 +292,41 @@ TEST(ServiceTest, PlanAgainstPinnedSnapshot) {
   EXPECT_EQ(fresh.snapshot().deps.Size(), 0);
   opt::PhysicalPlan cold_plan = fresh.Plan(q);
   EXPECT_EQ(cold_plan.sorts_elided(), 0);
+}
+
+TEST(ServiceTest, DateTemplatesThroughASessionMatchExplicitCatalogs) {
+  // A DateDimOds tenant plans the 13 date templates with date_dim's catalog
+  // left null: the session binds the tenant catalog to date_dim alone
+  // (store_sales declares its own, empty one), so every result matches
+  // PlanQuery over explicit catalogs.
+  constexpr int kStartYear = 1998;
+  constexpr int kYears = 4;
+  engine::Table dim = warehouse::GenerateDateDim(kStartYear, kYears);
+  engine::Table fact = warehouse::GenerateStoreSales(
+      /*num_rows=*/20000, dim.col(0).Int(0), dim.num_rows(),
+      /*num_items=*/50, /*num_stores=*/10, /*seed=*/42);
+  engine::OrderedIndex index(&fact, engine::SortSpec{0});
+  auto dim_ods = std::make_shared<theory::Theory>(warehouse::DateDimOds());
+  Server server;
+  server.CreateTenant("dates", warehouse::DateDimOds());
+  Session s = server.OpenSession("dates");
+
+  const auto queries = warehouse::TpcdsDateQueries(kStartYear, kYears);
+  ASSERT_EQ(queries.size(), 13u);
+  for (const opt::DateRangeQuery& dq : queries) {
+    const opt::PhysicalPlan plan = s.Plan(warehouse::ToLogicalQuery(
+        dq, &fact, &dim, &index, /*fact_parts=*/nullptr, /*dim_ods=*/nullptr));
+    EXPECT_EQ(plan.joins_elided(), 1) << dq.name << "\n" << plan.Explain();
+    const engine::Table got = s.Execute(plan);
+    opt::ExecStats stats;
+    const engine::Table want =
+        opt::PlanQuery(warehouse::ToLogicalQuery(dq, &fact, &dim, &index,
+                                                 /*fact_parts=*/nullptr,
+                                                 dim_ods))
+            .Execute(&stats);
+    EXPECT_EQ(got.num_rows(), want.num_rows()) << dq.name;
+    EXPECT_TRUE(engine::SameRowMultiset(want, got)) << dq.name;
+  }
 }
 
 TEST(ServiceTest, TenantsAreIsolated) {
