@@ -26,7 +26,6 @@
 #include "bench_util.h"
 #include "engine/ops.h"
 #include "optimizer/order_property.h"
-#include "optimizer/plan.h"
 #include "warehouse/date_dim.h"
 #include "warehouse/star_schema.h"
 
@@ -90,8 +89,7 @@ void BM_OrderByFromClusteredOrder(benchmark::State& state) {
   for (auto _ : state) {
     // The clustered (year, moy) stream IS the answer; materialization cost
     // only (same output size as the sort plan).
-    opt::ExecStats stats;
-    engine::Table stream = opt::TableScan(&w.clustered)->Execute(&stats);
+    engine::Table stream = w.clustered;
     benchmark::DoNotOptimize(stream);
   }
 }

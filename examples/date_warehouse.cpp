@@ -1,15 +1,14 @@
 // Example 1 and the Section 2.3 date rewrite, end to end: builds the star
-// schema, shows the baseline and OD-rewritten plans side by side (EXPLAIN
-// style), executes both, and verifies they agree.
+// schema, plans one date query with and without the date-dimension ODs,
+// shows both plans side by side (EXPLAIN), executes both, and verifies they
+// agree. Exits 1 if any check fails.
 
 #include <cstdio>
 #include <memory>
 
 #include "engine/index.h"
 #include "engine/ops.h"
-#include "optimizer/date_rewrite.h"
-#include "optimizer/order_property.h"
-#include "optimizer/plan.h"
+#include "optimizer/planner.h"
 #include "optimizer/reduce_order.h"
 #include "warehouse/date_dim.h"
 #include "warehouse/queries.h"
@@ -29,8 +28,8 @@ int main() {
 
   // --- Example 1: eliminate quarter from ORDER BY / GROUP BY ---------------
   // One shared catalog for every reasoning consumer: the date-dimension
-  // ODs live in a Theory, and both the raw prover and the optimizer's
-  // OrderReasoner attach to it (catalog edits would reach both at once).
+  // ODs live in a Theory, and both the raw prover and the planner attach
+  // to it (catalog edits would reach both at once).
   const warehouse::DateDimColumns d;
   auto catalog = std::make_shared<theory::Theory>(warehouse::DateDimOds());
   prover::Prover pv(catalog);
@@ -41,36 +40,37 @@ int main() {
   for (const auto& line : reduced.log) std::printf("  %s\n", line.c_str());
 
   // --- The surrogate-key rewrite (Section 2.3 / [18]) ----------------------
-  opt::OrderReasoner reasoner(catalog);
-  std::printf("\nrewrite applicable ([d_date_sk] <-> [d_date])? %s\n\n",
-              opt::RewriteApplicable(reasoner, d.d_date_sk, d.d_date)
-                  ? "yes"
-                  : "no");
-
+  // The same logical query planned twice: over the catalog, PlanQuery
+  // proves [d_date_sk] <-> [d_date] and replaces the join with a surrogate
+  // range on the fact index; without it, the join stays.
   const auto queries = warehouse::TpcdsDateQueries(1998, 5);
   const auto& q = queries[5];  // a (year, month) query
-  auto range = opt::SurrogateKeyRange(dim, d.d_date_sk, q.dim_predicates);
-  std::printf("query %s: surrogate range probes -> [%lld, %lld]\n\n",
-              q.name.c_str(), static_cast<long long>(range->first),
-              static_cast<long long>(range->second));
-
   engine::OrderedIndex fact_index(&fact, {0});
-  opt::PlanPtr baseline = opt::BuildBaselinePlan(&fact, &dim, q);
-  opt::PlanPtr rewritten = opt::BuildRewrittenPlan(&fact_index, q, *range);
-  std::printf("baseline plan:\n%s\nrewritten plan:\n%s\n",
-              baseline->Describe(1).c_str(), rewritten->Describe(1).c_str());
+  opt::PhysicalPlan blind = opt::PlanQuery(warehouse::ToLogicalQuery(
+      q, &fact, &dim, &fact_index, /*fact_parts=*/nullptr, nullptr));
+  opt::PhysicalPlan aware = opt::PlanQuery(warehouse::ToLogicalQuery(
+      q, &fact, &dim, &fact_index, /*fact_parts=*/nullptr, catalog));
+  std::printf("\nquery %s\nOD-blind plan:\n%s\nOD-aware plan:\n%s\n",
+              q.name.c_str(), blind.Explain().c_str(),
+              aware.Explain().c_str());
 
-  opt::ExecStats base_stats, rw_stats;
-  engine::Table base_result = baseline->Execute(&base_stats);
-  engine::Table rw_result = rewritten->Execute(&rw_stats);
-  std::printf("results identical: %s\n",
-              engine::SameRowMultiset(base_result, rw_result) ? "yes" : "NO");
-  std::printf("baseline : %lld rows scanned, %d join(s)\n",
-              static_cast<long long>(base_stats.rows_scanned),
-              base_stats.joins);
-  std::printf("rewritten: %lld rows scanned, %d join(s)\n\n",
-              static_cast<long long>(rw_stats.rows_scanned), rw_stats.joins);
+  opt::ExecStats blind_stats, aware_stats;
+  engine::Table blind_result = blind.Execute(&blind_stats);
+  engine::Table aware_result = aware.Execute(&aware_stats);
+  const bool identical =
+      engine::SameRowMultiset(blind_result, aware_result);
+  const bool rewritten = aware_stats.joins == 0 &&
+                         aware_stats.joins_elided == 1 &&
+                         blind_stats.joins == 1;
+  std::printf("results identical: %s\n", identical ? "yes" : "NO");
+  std::printf("join elided by the OD: %s\n", rewritten ? "yes" : "NO");
+  std::printf("OD-blind: %lld rows scanned, %d join(s)\n",
+              static_cast<long long>(blind_stats.rows_scanned),
+              blind_stats.joins);
+  std::printf("OD-aware: %lld rows scanned, %d join(s)\n\n",
+              static_cast<long long>(aware_stats.rows_scanned),
+              aware_stats.joins);
 
-  std::printf("result sample:\n%s", rw_result.ToString(5).c_str());
-  return 0;
+  std::printf("result sample:\n%s", aware_result.ToString(5).c_str());
+  return identical && rewritten ? 0 : 1;
 }

@@ -1,7 +1,8 @@
 // Example 5 of the paper: the Taxes table. Declares the monotonicity
 // constraints [income] ↦ [bracket] and [income] ↦ [tax], derives
 // [income] ↦ [bracket, tax] with a printed Union proof, and answers
-// ORDER BY bracket, tax from the income index with no sort.
+// ORDER BY bracket, tax from the income index with no sort. Exits 1 if any
+// check fails.
 
 #include <cstdio>
 
@@ -32,8 +33,8 @@ int main() {
   std::printf("Theorem 2 (Union) derivation of [income] -> [bracket, tax]:\n%s",
               proof.ToString(&names).c_str());
   std::string error;
-  std::printf("proof checks: %s\n\n",
-              axioms::CheckProofSemantically(proof, &error) ? "yes" : "no");
+  const bool proof_ok = axioms::CheckProofSemantically(proof, &error);
+  std::printf("proof checks: %s\n\n", proof_ok ? "yes" : "no");
 
   // The optimizer view: ORDER BY bracket, tax is provided by income order.
   // The reasoner owns the catalog as a Theory; the ReduceOrder+ call below
@@ -53,12 +54,13 @@ int main() {
   engine::OrderedIndex income_index(&taxes, {c.income});
   engine::Table via_index = income_index.ScanAll();
   engine::Table via_sort = engine::SortBy(taxes, {c.bracket, c.tax});
+  const bool sorted = engine::IsSortedBy(via_index, {c.bracket, c.tax});
+  const bool same_rows = engine::SameRowMultiset(via_index, via_sort);
   std::printf("index stream sorted by (bracket, tax)?  %s\n",
-              engine::IsSortedBy(via_index, {c.bracket, c.tax}) ? "yes"
-                                                                : "no");
+              sorted ? "yes" : "no");
   std::printf("same rows as the explicit sort?         %s\n",
-              engine::SameRowMultiset(via_index, via_sort) ? "yes" : "no");
+              same_rows ? "yes" : "no");
   std::printf("\nfirst rows via income index:\n%s",
               via_index.ToString(5).c_str());
-  return 0;
+  return proof_ok && provided && sorted && same_rows ? 0 : 1;
 }

@@ -1,19 +1,31 @@
 #include "optimizer/date_rewrite.h"
 
+#include <algorithm>
 #include <limits>
+#include <stdexcept>
 
 namespace od {
 namespace opt {
 
-bool RewriteApplicable(const OrderReasoner& reasoner,
-                       engine::ColumnId dim_date_sk,
-                       engine::ColumnId dim_date) {
-  return reasoner.Equivalent({dim_date_sk}, {dim_date});
+namespace {
+
+/// Both probes read the key through the unchecked Column::Int.
+void CheckIntKey(const engine::Table& dim, engine::ColumnId key,
+                 const char* fn) {
+  if (key < 0 || key >= dim.num_columns() ||
+      dim.schema().col(key).type != engine::DataType::kInt64) {
+    throw std::invalid_argument(std::string(fn) + ": surrogate key column " +
+                                std::to_string(key) +
+                                " is not an int64 column");
+  }
 }
+
+}  // namespace
 
 std::optional<std::pair<int64_t, int64_t>> SurrogateKeyRange(
     const engine::Table& dim, engine::ColumnId dim_date_sk,
     const std::vector<engine::Predicate>& preds) {
+  CheckIntKey(dim, dim_date_sk, "SurrogateKeyRange");
   int64_t lo = std::numeric_limits<int64_t>::max();
   int64_t hi = std::numeric_limits<int64_t>::min();
   bool any = false;
@@ -30,7 +42,7 @@ std::optional<std::pair<int64_t, int64_t>> SurrogateKeyRange(
 bool QualifyingRowsContiguous(const engine::Table& dim,
                               engine::ColumnId dim_date_sk,
                               const std::vector<engine::Predicate>& preds) {
-  auto range = SurrogateKeyRange(dim, dim_date_sk, preds);
+  auto range = SurrogateKeyRange(dim, dim_date_sk, preds);  // checks the key
   if (!range.has_value()) return true;  // vacuously
   // Every dimension row inside the surrogate range must qualify.
   for (int64_t row = 0; row < dim.num_rows(); ++row) {
@@ -41,37 +53,6 @@ bool QualifyingRowsContiguous(const engine::Table& dim,
     }
   }
   return true;
-}
-
-PlanPtr BuildBaselinePlan(const engine::Table* fact, const engine::Table* dim,
-                          const DateRangeQuery& query) {
-  PlanPtr dim_scan = FilterNode(TableScan(dim), query.dim_predicates);
-  PlanPtr join = HashJoinNode(TableScan(fact), query.fact_date_sk,
-                              std::move(dim_scan), query.dim_date_sk);
-  return HashAggNode(std::move(join), query.fact_group_cols, query.fact_aggs);
-}
-
-PlanPtr BuildRewrittenPlan(const engine::OrderedIndex* fact_sk_index,
-                           const DateRangeQuery& query,
-                           std::pair<int64_t, int64_t> sk_range) {
-  return HashAggNode(IndexScan(fact_sk_index, sk_range),
-                     query.fact_group_cols, query.fact_aggs);
-}
-
-PlanPtr BuildRewrittenPartitionedPlan(const engine::PartitionedTable* fact,
-                                      const DateRangeQuery& query,
-                                      std::pair<int64_t, int64_t> sk_range) {
-  return HashAggNode(PartitionedScan(fact, sk_range), query.fact_group_cols,
-                     query.fact_aggs);
-}
-
-PlanPtr BuildBaselinePartitionedPlan(const engine::PartitionedTable* fact,
-                                     const engine::Table* dim,
-                                     const DateRangeQuery& query) {
-  PlanPtr dim_scan = FilterNode(TableScan(dim), query.dim_predicates);
-  PlanPtr join = HashJoinNode(PartitionedScan(fact), query.fact_date_sk,
-                              std::move(dim_scan), query.dim_date_sk);
-  return HashAggNode(std::move(join), query.fact_group_cols, query.fact_aggs);
 }
 
 }  // namespace opt

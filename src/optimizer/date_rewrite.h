@@ -1,15 +1,14 @@
 #ifndef OD_OPTIMIZER_DATE_REWRITE_H_
 #define OD_OPTIMIZER_DATE_REWRITE_H_
 
+#include <cstdint>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "engine/index.h"
 #include "engine/ops.h"
-#include "engine/partition.h"
-#include "optimizer/order_property.h"
-#include "optimizer/plan.h"
+#include "engine/table.h"
 
 namespace od {
 namespace opt {
@@ -24,12 +23,17 @@ namespace opt {
 /// date range maps to a contiguous surrogate range. The rewrite probes the
 /// dimension twice for the min and max qualifying surrogate key, replaces
 /// the join with a fact-side range predicate, and prunes partitions.
+///
+/// `PlanQuery` performs the rewrite (see `TableRef::natural_order_col`);
+/// this header holds the query shape the warehouse templates are written in
+/// and the two data checks the planner runs on the dimension.
 
 /// The query shape the rewrite matches:
 ///   SELECT <fact group cols>, AGG(<fact measures>)
 ///   FROM fact JOIN date_dim ON fact.sk = dim.sk
 ///   WHERE <predicates over date_dim natural columns>
 ///   GROUP BY <fact group cols>
+/// `warehouse::ToLogicalQuery` lowers it to a planner `LogicalQuery`.
 struct DateRangeQuery {
   std::string name;
   std::vector<engine::Predicate> dim_predicates;
@@ -39,14 +43,9 @@ struct DateRangeQuery {
   std::vector<engine::AggSpec> fact_aggs;
 };
 
-/// Rewrite precondition: the constraints must certify that the dimension's
-/// surrogate key and natural date are order equivalent.
-bool RewriteApplicable(const OrderReasoner& reasoner,
-                       engine::ColumnId dim_date_sk,
-                       engine::ColumnId dim_date);
-
 /// The "two probes": the min and max surrogate key among dimension rows
-/// satisfying the predicates. nullopt when no row qualifies.
+/// satisfying the predicates. nullopt when no row qualifies. Throws
+/// std::invalid_argument unless `dim_date_sk` is an int64 column of `dim`.
 std::optional<std::pair<int64_t, int64_t>> SurrogateKeyRange(
     const engine::Table& dim, engine::ColumnId dim_date_sk,
     const std::vector<engine::Predicate>& preds);
@@ -54,30 +53,11 @@ std::optional<std::pair<int64_t, int64_t>> SurrogateKeyRange(
 /// Checks that the qualifying dimension rows are exactly those with
 /// surrogate key in the probed range — the contiguity requirement. Holds by
 /// construction for calendar predicates (year, year+month, date BETWEEN) on
-/// a complete date dimension; tests verify it per query.
+/// a complete date dimension; tests verify it per query. Throws
+/// std::invalid_argument unless `dim_date_sk` is an int64 column of `dim`.
 bool QualifyingRowsContiguous(const engine::Table& dim,
                               engine::ColumnId dim_date_sk,
                               const std::vector<engine::Predicate>& preds);
-
-/// Baseline plan: Filter(dim) ⋈ fact, then hash aggregation.
-PlanPtr BuildBaselinePlan(const engine::Table* fact,
-                          const engine::Table* dim,
-                          const DateRangeQuery& query);
-
-/// Rewritten plan: fact-index range scan (no join), then aggregation.
-PlanPtr BuildRewrittenPlan(const engine::OrderedIndex* fact_sk_index,
-                           const DateRangeQuery& query,
-                           std::pair<int64_t, int64_t> sk_range);
-
-/// Rewritten plan over a date-partitioned fact: pruned partition scan.
-PlanPtr BuildRewrittenPartitionedPlan(const engine::PartitionedTable* fact,
-                                      const DateRangeQuery& query,
-                                      std::pair<int64_t, int64_t> sk_range);
-
-/// Baseline over a partitioned fact: all partitions + join.
-PlanPtr BuildBaselinePartitionedPlan(const engine::PartitionedTable* fact,
-                                     const engine::Table* dim,
-                                     const DateRangeQuery& query);
 
 }  // namespace opt
 }  // namespace od

@@ -9,14 +9,13 @@ namespace opt {
 
 /// Counters the benches and tests assert on: plan-shape differences (sorts
 /// avoided, joins removed, partitions pruned) show up here independently of
-/// wall-clock noise. Shared by the materializing `PlanNode` tree and the
-/// streaming executor (`src/exec`), which additionally fills the
-/// rows_output / batches stream counters.
+/// wall-clock noise. The streaming executor (`src/exec`) fills them as a
+/// plan runs; `PhysicalPlan::Execute` adds the plan-time elisions.
 struct ExecStats {
   int64_t rows_scanned = 0;
   int64_t rows_joined = 0;
-  /// Rows emitted by the root of the pipeline (filled by exec::Drain and
-  /// PhysicalPlan::Execute; the materializing nodes leave it zero).
+  /// Rows emitted by the root of the pipeline (filled by exec::Drain, which
+  /// PhysicalPlan::Execute calls).
   int64_t rows_output = 0;
   /// Batches emitted by the root of the pipeline.
   int64_t batches = 0;

@@ -213,13 +213,14 @@ class Planner {
                 : filtered_rows_[j.right_table] /
                       static_cast<double>(dim.table->num_rows());
       }
-      // Elimination needs: the OD proof that the dim's surrogate key
-      // orders like its natural column, predicates to map, a data check
-      // that the qualifying rows are contiguous in the surrogate, and an
-      // output that does not reference dim columns (we aggregate over
-      // driving-table columns only).
-      if (HasAgg() && dim.natural_order_col >= 0 && dim.ods != nullptr &&
-          !preds.empty() &&
+      // Elimination needs: int64 keys on both sides (the surrogate range
+      // becomes a fact-side int64 range), the OD proof that the dim's
+      // surrogate key orders like its natural column, predicates to map,
+      // a data check that the qualifying rows are contiguous in the
+      // surrogate, and an output that does not reference dim columns (we
+      // aggregate over driving-table columns only).
+      if (info.hashable && HasAgg() && dim.natural_order_col >= 0 &&
+          dim.ods != nullptr && !preds.empty() &&
           reasoners_[j.right_table]->Equivalent({j.right_col},
                                                 {dim.natural_order_col}) &&
           QualifyingRowsContiguous(*dim.table, j.right_col, preds)) {
@@ -1363,62 +1364,6 @@ void ExplainNode(const PhysicalNode& n, int indent, std::string* out,
   for (const auto& c : n.children) ExplainNode(*c, indent + 1, out, ctx);
 }
 
-PlanPtr ToPlanNode(const PhysicalNode& n, const std::vector<TableRef>& tabs) {
-  switch (n.kind) {
-    case Kind::kScan:
-      return TableScan(tabs[n.table_index].table);
-    case Kind::kIndexScan:
-      return IndexScan(tabs[n.table_index].index, n.range);
-    case Kind::kPartitionedScan:
-      return PartitionedScan(tabs[n.table_index].partitions, n.range);
-    case Kind::kFilter: {
-      auto c = ToPlanNode(*n.children[0], tabs);
-      return c == nullptr ? nullptr : FilterNode(std::move(c), n.preds);
-    }
-    case Kind::kProject: {
-      auto c = ToPlanNode(*n.children[0], tabs);
-      return c == nullptr ? nullptr : ProjectNode(std::move(c), n.spec);
-    }
-    case Kind::kSort: {
-      auto c = ToPlanNode(*n.children[0], tabs);
-      return c == nullptr ? nullptr : SortNode(std::move(c), n.spec);
-    }
-    case Kind::kStreamAgg: {
-      auto c = ToPlanNode(*n.children[0], tabs);
-      return c == nullptr ? nullptr
-                          : StreamAggNode(std::move(c), n.group_cols, n.aggs);
-    }
-    case Kind::kHashAgg: {
-      auto c = ToPlanNode(*n.children[0], tabs);
-      return c == nullptr ? nullptr
-                          : HashAggNode(std::move(c), n.group_cols, n.aggs);
-    }
-    case Kind::kMergeJoin: {
-      auto l = ToPlanNode(*n.children[0], tabs);
-      auto r = ToPlanNode(*n.children[1], tabs);
-      if (l == nullptr || r == nullptr) return nullptr;
-      // Explicit Sort enforcers are part of the tree when needed, so the
-      // merge itself assumes sorted inputs.
-      return SortMergeJoinNode(std::move(l), n.left_key, std::move(r),
-                               n.right_key, /*assume_sorted=*/true);
-    }
-    case Kind::kHashJoin: {
-      auto l = ToPlanNode(*n.children[0], tabs);
-      auto r = ToPlanNode(*n.children[1], tabs);
-      if (l == nullptr || r == nullptr) return nullptr;
-      return HashJoinNode(std::move(l), n.left_key, std::move(r),
-                          n.right_key);
-    }
-    case Kind::kTopK:
-    case Kind::kLimit:
-    case Kind::kExchange:
-    case Kind::kParallelHashAgg:
-    case Kind::kCombinePartials:
-      return nullptr;  // no materializing counterpart
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 exec::OpPtr PhysicalPlan::Compile(ExecStats* stats) const {
@@ -1479,10 +1424,6 @@ std::string PhysicalPlan::ExplainAnalyze() const {
     for (const auto& p : proofs_) out += "  * " + p + "\n";
   }
   return out;
-}
-
-PlanPtr PhysicalPlan::ToMaterializingPlan() const {
-  return ToPlanNode(*root_, tables_);
 }
 
 PhysicalPlan PlanQuery(const LogicalQuery& q, const CostModel& cost,

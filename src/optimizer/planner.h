@@ -16,7 +16,6 @@
 #include "exec/operator.h"
 #include "optimizer/exec_stats.h"
 #include "optimizer/order_property.h"
-#include "optimizer/plan.h"
 #include "theory/theory.h"
 
 namespace od {
@@ -228,11 +227,6 @@ class PhysicalPlan {
   /// that never ran render their estimates only). The OD proofs behind
   /// every elided sort/join close the report, exactly as in Explain().
   std::string ExplainAnalyze() const;
-
-  /// Bridges to the materializing PlanNode tree (the pre-exec engine) for
-  /// apples-to-apples comparisons; nullptr when the plan uses an operator
-  /// with no materializing counterpart (Limit/TopK).
-  PlanPtr ToMaterializingPlan() const;
 
  private:
   friend PhysicalPlan PlanQuery(const LogicalQuery&, const CostModel&,

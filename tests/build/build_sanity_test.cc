@@ -9,7 +9,7 @@
 #include "core/dependency.h"
 #include "engine/table.h"
 #include "fd/fd_set.h"
-#include "optimizer/plan.h"
+#include "optimizer/planner.h"
 #include "prover/prover.h"
 #include "warehouse/date_dim.h"
 

@@ -15,8 +15,8 @@
 
 #include "engine/index.h"
 #include "engine/ops.h"
+#include "exec/operator.h"
 #include "optimizer/order_property.h"
-#include "optimizer/plan.h"
 #include "optimizer/reduce_order.h"
 #include "warehouse/date_dim.h"
 #include "warehouse/star_schema.h"
@@ -73,12 +73,12 @@ TEST_F(Example1Test, RewrittenPlanHasNoSortAndAgrees) {
   const std::vector<ColumnId> full_groups{year_, quarter_, moy_};
 
   // Baseline: hash agg + sort enforcer on year, quarter, moy.
-  opt::ExecStats base_stats;
-  opt::PlanPtr baseline = opt::SortNode(
-      opt::HashAggNode(opt::TableScan(&joined_), full_groups, aggs),
-      {0, 1, 2});  // agg output: year, quarter, moy, sum
-  Table base_result = baseline->Execute(&base_stats);
-  EXPECT_EQ(base_stats.sorts, 1);
+  bool was_sorted = true;
+  Table base_result =
+      engine::SortBy(engine::HashGroupBy(joined_, full_groups, aggs),
+                     {0, 1, 2},  // agg output: year, quarter, moy, sum
+                     &was_sorted);
+  EXPECT_FALSE(was_sorted);  // the hash agg's output needed the sort
 
   // OD plan: the index stream (year, moy) provides the order; quarter is
   // eliminated from both clauses; stream aggregation exploits the order.
@@ -87,9 +87,10 @@ TEST_F(Example1Test, RewrittenPlanHasNoSortAndAgrees) {
   ASSERT_TRUE(reasoner.GroupsContiguousUnder({year_, moy_}, full_groups));
   engine::OrderedIndex index(&joined_, {year_, moy_});
   opt::ExecStats od_stats;
-  opt::PlanPtr od_plan =
-      opt::StreamAggNode(opt::IndexScan(&index), full_groups, aggs);
-  Table od_result = od_plan->Execute(&od_stats);
+  exec::OpPtr od_plan = exec::StreamAggregate(
+      exec::IndexRangeScan(&index, std::nullopt, &od_stats), full_groups,
+      aggs);
+  Table od_result = exec::Drain(od_plan.get(), &od_stats);
   EXPECT_EQ(od_stats.sorts, 0);  // no sort operator anywhere
 
   // Same groups and aggregates.

@@ -1,7 +1,7 @@
 // The cost-based physical planner: enforcer elision must be *proven* (OD
-// reasoning), every chosen plan must agree with the naive materializing
-// plan, and the order-aware warehouse queries must execute with zero sorts
-// when the ODs hold.
+// reasoning), every chosen plan must agree with a reference computed by the
+// engine:: kernels, and the order-aware warehouse queries must execute with
+// zero sorts when the ODs hold.
 
 #include "optimizer/planner.h"
 
@@ -31,6 +31,16 @@ using engine::Table;
 
 bool ExplainMentions(const PhysicalPlan& plan, const std::string& token) {
   return plan.Explain().find(token) != std::string::npos;
+}
+
+/// The date query answered by the engine:: kernels alone: filter the
+/// dimension, hash-join the fact to it, hash-aggregate.
+Table EngineReference(const Table& fact, const Table& dim,
+                      const DateRangeQuery& q) {
+  return engine::HashGroupBy(
+      engine::HashJoin(fact, q.fact_date_sk,
+                       engine::Filter(dim, q.dim_predicates), q.dim_date_sk),
+      q.fact_group_cols, q.fact_aggs);
 }
 
 class TaxPlannerTest : public ::testing::Test {
@@ -152,20 +162,12 @@ TEST_F(DatePlannerTest, DailySalesElidesJoinSortAndHash) {
   EXPECT_TRUE(engine::IsSortedBy(out, {0}));
   EXPECT_EQ(out.num_rows(), 365);  // 1999: one output row per day
 
-  // Same answer as the naive materializing join plan.
+  // Same answer as the join the plan elided.
   const warehouse::DateDimColumns d;
   const warehouse::StoreSalesColumns f;
-  DateRangeQuery ref;
-  ref.name = q.name;
-  ref.dim_predicates = q.filters[1];
-  ref.fact_date_sk = f.ss_sold_date_sk;
-  ref.dim_date_sk = d.d_date_sk;
-  ref.fact_group_cols = q.group_cols;
-  ref.fact_aggs = q.aggs;
-  ExecStats ref_stats;
-  Table baseline = BuildBaselinePlan(&fact_, &dim_, ref)->Execute(&ref_stats);
-  EXPECT_TRUE(engine::SameRowMultiset(baseline, out));
-  EXPECT_EQ(ref_stats.joins, 1);  // the baseline really paid the join
+  const DateRangeQuery ref{q.name,      q.filters[1], f.ss_sold_date_sk,
+                           d.d_date_sk, q.group_cols, q.aggs};
+  EXPECT_TRUE(engine::SameRowMultiset(EngineReference(fact_, dim_, ref), out));
 }
 
 TEST_F(DatePlannerTest, WithoutOdsTheJoinStays) {
@@ -188,22 +190,33 @@ TEST_F(DatePlannerTest, WithoutOdsTheJoinStays) {
 }
 
 TEST_F(DatePlannerTest, AllThirteenQueriesAgreeWithBaseline) {
+  // Each template planned twice: OD-blind (no dim catalog) is the
+  // baseline that pays the join; OD-aware must rewrite it away.
+  const warehouse::DateDimColumns d;
   const auto queries = warehouse::TpcdsDateQueries(kStartYear, kYears);
   ASSERT_EQ(queries.size(), 13u);
   for (const auto& dq : queries) {
-    LogicalQuery q = warehouse::ToLogicalQuery(
-        dq, &fact_, &dim_, index_.get(), parts_.get(), dim_ods_);
-    PhysicalPlan plan = PlanQuery(q);
-    ExecStats stats;
-    Table out = plan.Execute(&stats);
-    ExecStats ref_stats;
-    Table baseline =
-        BuildBaselinePlan(&fact_, &dim_, dq)->Execute(&ref_stats);
-    EXPECT_TRUE(engine::SameRowMultiset(baseline, out)) << dq.name;
+    // The rewrite's data precondition holds for every template.
+    EXPECT_TRUE(QualifyingRowsContiguous(dim_, d.d_date_sk, dq.dim_predicates))
+        << dq.name;
+    const Table ref = EngineReference(fact_, dim_, dq);
+    ExecStats blind, aware;
+    Table blind_out = PlanQuery(warehouse::ToLogicalQuery(
+                                    dq, &fact_, &dim_, index_.get(),
+                                    parts_.get(), /*dim_ods=*/nullptr))
+                          .Execute(&blind);
+    Table aware_out = PlanQuery(warehouse::ToLogicalQuery(
+                                    dq, &fact_, &dim_, index_.get(),
+                                    parts_.get(), dim_ods_))
+                          .Execute(&aware);
+    EXPECT_TRUE(engine::SameRowMultiset(ref, blind_out)) << dq.name;
+    EXPECT_TRUE(engine::SameRowMultiset(ref, aware_out)) << dq.name;
+    EXPECT_EQ(blind.joins, 1) << dq.name;
+    EXPECT_EQ(blind.joins_elided, 0) << dq.name;
     // The surrogate-key OD eliminates the join on every rewritable query.
-    EXPECT_EQ(stats.joins, 0) << dq.name;
-    EXPECT_EQ(stats.joins_elided, 1) << dq.name;
-    EXPECT_LT(stats.rows_scanned, ref_stats.rows_scanned) << dq.name;
+    EXPECT_EQ(aware.joins, 0) << dq.name;
+    EXPECT_EQ(aware.joins_elided, 1) << dq.name;
+    EXPECT_LT(aware.rows_scanned, blind.rows_scanned) << dq.name;
   }
 }
 
@@ -270,20 +283,20 @@ TEST_F(DatePlannerTest, PartitionPruningWithoutIndex) {
   ExecStats stats;
   Table out = plan.Execute(&stats);
   EXPECT_EQ(stats.joins, 0);
-  EXPECT_LT(stats.partitions_scanned, 16);
+  // One year of four: at most 5 of the 16 date-range partitions overlap.
+  EXPECT_LT(stats.partitions_scanned, 16 / 2);
   EXPECT_TRUE(engine::IsSortedBy(out, {0}));
-}
 
-TEST_F(DatePlannerTest, MaterializingBridgeAgrees) {
-  LogicalQuery q = warehouse::DailySalesQuery(
-      &fact_, &dim_, index_.get(), parts_.get(), dim_ods_, kStartYear);
-  PhysicalPlan plan = PlanQuery(q);
-  PlanPtr bridge = plan.ToMaterializingPlan();
-  ASSERT_NE(bridge, nullptr);
-  ExecStats s1, s2;
-  Table streaming = plan.Execute(&s1);
-  Table materializing = bridge->Execute(&s2);
-  EXPECT_TRUE(engine::SameRowMultiset(streaming, materializing));
+  // Without the ODs the planner scans every row and keeps the join.
+  LogicalQuery blind_q = warehouse::DailySalesQuery(
+      &fact_, &dim_, /*fact_sk_index=*/nullptr, parts_.get(),
+      /*dim_ods=*/nullptr, kStartYear + 1);
+  ExecStats blind;
+  Table blind_out = PlanQuery(blind_q).Execute(&blind);
+  EXPECT_EQ(blind.joins, 1);
+  EXPECT_EQ(blind.rows_scanned, fact_.num_rows() + dim_.num_rows());
+  EXPECT_LT(stats.rows_scanned, blind.rows_scanned);
+  EXPECT_TRUE(engine::SameRowMultiset(blind_out, out));
 }
 
 TEST(PlannerValidationTest, MalformedQueriesThrow) {
@@ -310,6 +323,60 @@ TEST(PlannerValidationTest, MalformedQueriesThrow) {
   bad_order.aggs = {{AggSpec::Kind::kCount, 0, "c"}};
   bad_order.order_by = {1};  // not a group column
   EXPECT_THROW(PlanQuery(bad_order), std::invalid_argument);
+}
+
+TEST(PlannerValidationTest, NonIntegerJoinKeyKeepsTheJoin) {
+  // A string-keyed star whose catalog proves [key] ↔ [natural]: the
+  // surrogate range is an int64 range, so the join must stay.
+  Schema ds;
+  ds.Add("key", DataType::kString);
+  ds.Add("natural", DataType::kInt64);
+  Table dim(ds);
+  auto key = [](int64_t i) {
+    return Value((i < 10 ? "k0" : "k") + std::to_string(i));
+  };
+  for (int64_t i = 0; i < 20; ++i) dim.AppendRow({key(i), Value(i)});
+  Schema fs;
+  fs.Add("key", DataType::kString);
+  fs.Add("grp", DataType::kInt64);
+  fs.Add("val", DataType::kInt64);
+  fs.Add("natural", DataType::kInt64);  // the dim's natural of `key`
+  Table fact(fs);
+  for (int64_t i = 0; i < 300; ++i) {
+    const int64_t k = (i * 7) % 20;
+    fact.AppendRow({key(k), Value(i % 3), Value(i), Value(k)});
+  }
+  DependencySet m;
+  m.Add(AttributeList({0}), AttributeList({1}));
+  m.Add(AttributeList({1}), AttributeList({0}));
+
+  LogicalQuery q;
+  q.name = "string_key_star";
+  q.tables.push_back(TableRef{"fact", &fact, nullptr, nullptr,
+                              std::make_shared<theory::Theory>(), nullptr,
+                              -1});
+  q.tables.push_back(TableRef{"dim", &dim, nullptr, nullptr,
+                              std::make_shared<theory::Theory>(m), nullptr,
+                              /*natural_order_col=*/1});
+  q.joins.push_back(JoinClause{1, 0, 0});
+  const Predicate window{1, Predicate::Op::kBetween, Value(5), Value(9)};
+  q.filters = {{}, {window}};
+  q.group_cols = {1};
+  q.aggs = {{AggSpec::Kind::kSum, 2, "sum_val"},
+            {AggSpec::Kind::kCount, 0, "cnt"}};
+  PhysicalPlan plan = PlanQuery(q);
+  EXPECT_EQ(plan.joins_elided(), 0);
+  ExecStats stats;
+  Table out = plan.Execute(&stats);
+  EXPECT_EQ(stats.joins, 1);
+
+  // Every fact key occurs in the dim once, so the join with the filtered
+  // dim is the fact filtered on its copy of the natural column.
+  Predicate fact_window = window;
+  fact_window.col = 3;
+  Table ref = engine::HashGroupBy(engine::Filter(fact, {fact_window}),
+                                  q.group_cols, q.aggs);
+  EXPECT_TRUE(engine::SameRowMultiset(ref, out));
 }
 
 TEST(PlannerThreeTableTest, StarJoinOverItemAndStore) {
