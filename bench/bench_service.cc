@@ -14,8 +14,10 @@
 //     writer).
 //   * BM_ServiceTenantSweep/t — the read budget spread round-robin over t
 //     tenants from one thread: per-tenant isolation overhead.
-//   * BM_ServicePublish — writer-path cost of one Add+Remove cycle
-//     (memo sweeps + snapshot + frozen replica prover + publish).
+//   * BM_ServicePublish — writer-path cost of one Add+Remove cycle: per
+//     edit, the catalog copy (the value the last publish handed out is
+//     shared), the memo sweep, and a publish that copies nothing (a
+//     replica prover adopting the value, a batcher, the pointer swap).
 
 #include <benchmark/benchmark.h>
 

@@ -209,10 +209,12 @@ Prover::Prover(DependencySet m)
     : Prover(std::make_shared<theory::Theory>(m)) {}
 
 Prover::Prover(const theory::TheorySnapshot& snapshot)
-    : Prover(std::make_shared<theory::Theory>(snapshot)) {}
+    : Prover(std::make_shared<theory::Theory>(
+          std::make_shared<theory::TheorySnapshot>(snapshot))) {}
 
-Prover::Prover(const theory::TheorySnapshot& snapshot, const Prover& owner)
-    : theory_(std::make_shared<theory::Theory>(snapshot)),
+Prover::Prover(std::shared_ptr<const theory::TheorySnapshot> snapshot,
+               const Prover& owner)
+    : theory_(std::make_shared<theory::Theory>(std::move(snapshot))),
       memo_(owner.memo_) {}
 
 Prover::~Prover() {

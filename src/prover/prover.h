@@ -116,21 +116,22 @@ class Prover {
   explicit Prover(std::shared_ptr<theory::Theory> theory);
   /// Convenience for a frozen catalog: wraps `m` in a private theory.
   explicit Prover(DependencySet m);
-  /// Snapshot-backed construction: restores a private frozen replica of
-  /// the snapshotted catalog (same constraints, stable ids, and epoch) and
-  /// proves against it with a memo of its own. The replica is reachable
-  /// via shared_theory() but must never be mutated while queries run, as
-  /// usual; the snapshot itself is only read during construction.
+  /// Snapshot-backed construction: proves against a private theory over
+  /// a copy of `snapshot` (same constraints, stable ids, and epoch) with a
+  /// memo of its own. The theory is reachable via shared_theory() but must
+  /// never be mutated while queries run, as usual; the snapshot itself is
+  /// only read during construction.
   explicit Prover(const theory::TheorySnapshot& snapshot);
-  /// A replica of `owner` at `snapshot`'s epoch that shares `owner`'s memo
-  /// instead of copying it: the epoch windows keep each answer to the
-  /// epochs it holds at, so replicas pinned at different epochs read and
-  /// feed one memo, and the owner's sweeps keep it sound. PRECONDITION:
-  /// `snapshot` was taken from owner's theory, at owner's epoch or before
-  /// (replica ids and epochs must name the same catalog states as the
-  /// owner's), and the replica's theory is never mutated — it does not
-  /// subscribe to it.
-  Prover(const theory::TheorySnapshot& snapshot, const Prover& owner);
+  /// A replica of `owner` at `snapshot`'s epoch that adopts the value and
+  /// shares `owner`'s memo, copying neither: the epoch windows keep each
+  /// answer to the epochs it holds at, so replicas pinned at different
+  /// epochs read and feed one memo, and the owner's sweeps keep it sound.
+  /// PRECONDITION: `snapshot` was taken from owner's theory, at owner's
+  /// epoch or before (replica ids and epochs must name the same catalog
+  /// states as the owner's), and the replica's theory is never mutated —
+  /// it does not subscribe to it.
+  Prover(std::shared_ptr<const theory::TheorySnapshot> snapshot,
+         const Prover& owner);
   ~Prover();
 
   Prover(const Prover&) = delete;

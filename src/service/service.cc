@@ -87,8 +87,8 @@ struct TenantMetrics {
                                     label)),
         publish_us(reg.GetHistogram(
             "od_service_publish_us",
-            "Writer-path publication cost (snapshot + frozen replica + "
-            "batcher), microseconds",
+            "Writer-path publication cost (replica prover adopting the "
+            "catalog value + batcher + pointer swap), microseconds",
             label)),
         request_us(reg.GetHistogram(
             "od_service_request_us",
@@ -213,10 +213,14 @@ struct TenantState {
   /// The server's scheduler (may be null: serial sweeps).
   common::ThreadPool* pool = nullptr;
 
+  /// Flight-recorder ring size (main and slow ring each), and the latency
+  /// quantile that joins the slow-query floor.
+  static constexpr size_t kFlightRecorderCapacity = 128;
+  static constexpr double kSlowQueryQuantile = 0.99;
+
   /// Last-N profiled requests (and the slow subset) for this tenant.
   FlightRecorder recorder;
   const int64_t slow_floor_us;
-  const double slow_quantile;
 
   /// Serializes the writer path (mutations + publication).
   std::mutex writer_mu;
@@ -236,12 +240,8 @@ struct TenantState {
   TenantState(std::string tenant_name, const ServerOptions& options)
       : name(std::move(tenant_name)),
         metrics(name),
-        recorder(static_cast<size_t>(
-            options.flight_recorder_capacity < 1
-                ? 1
-                : options.flight_recorder_capacity)),
-        slow_floor_us(options.slow_query_floor_us),
-        slow_quantile(options.slow_query_quantile) {}
+        recorder(kFlightRecorderCapacity),
+        slow_floor_us(options.slow_query_floor_us) {}
 
   std::shared_ptr<const EpochState> Published() const {
     std::lock_guard<std::mutex> lock(publish_mu);
@@ -255,7 +255,7 @@ struct TenantState {
     const common::HistogramSnapshot snap = metrics.request_us.Snapshot();
     if (snap.count >= 32) {
       const auto q =
-          static_cast<int64_t>(snap.ValueAtQuantile(slow_quantile));
+          static_cast<int64_t>(snap.ValueAtQuantile(kSlowQueryQuantile));
       if (q > threshold) threshold = q;
     }
     return threshold;
@@ -350,8 +350,8 @@ class RequestProfiler {
 
 namespace {
 
-/// Writer-path publication: freeze the master at its current epoch into a
-/// replica prover on the tenant memo and swap the published pointer.
+/// Writer-path publication: hand the master's catalog value, uncopied, to
+/// a replica prover on the tenant memo and swap the published pointer.
 /// `seeded` is what the sweeps carried into this epoch. Caller holds
 /// writer_mu.
 void PublishLocked(internal::TenantState& tenant,
@@ -361,7 +361,7 @@ void PublishLocked(internal::TenantState& tenant,
   auto state = std::make_shared<internal::EpochState>();
   state->snapshot = tenant.master->Snapshot();
   state->prover =
-      std::make_shared<prover::Prover>(*state->snapshot, *tenant.master_prover);
+      std::make_shared<prover::Prover>(state->snapshot, *tenant.master_prover);
   state->batcher = std::make_unique<internal::ImpliesBatcher>(
       state->prover.get(), options.pool, options.max_batch,
       &tenant.metrics);
@@ -421,10 +421,6 @@ uint64_t Session::epoch() const { return state_->snapshot->epoch; }
 
 const theory::TheorySnapshot& Session::snapshot() const {
   return *state_->snapshot;
-}
-
-const std::shared_ptr<theory::Theory>& Session::theory() const {
-  return state_->prover->shared_theory();
 }
 
 bool Session::Implies(const OrderDependency& dep) const {
@@ -519,17 +515,20 @@ Server::~Server() = default;
 
 void Server::CreateTenant(const std::string& tenant,
                           const DependencySet& seed) {
+  // Held throughout: a duplicate name, racing or not, is rejected before
+  // it publishes or records into the live tenant's labeled metrics.
+  std::lock_guard<std::mutex> lock(tenants_mu_);
+  if (tenants_.count(tenant) > 0) {
+    throw std::invalid_argument("Server::CreateTenant: tenant '" + tenant +
+                                "' already exists");
+  }
   auto state = std::make_unique<internal::TenantState>(tenant, options_);
   state->pool = options_.pool;
   state->master = std::make_shared<theory::Theory>(seed);
   state->master_prover = std::make_unique<prover::Prover>(state->master);
   // Publication needs no writer_mu here: the tenant is not yet visible.
   PublishLocked(*state, options_, /*seeded=*/0);
-  std::lock_guard<std::mutex> lock(tenants_mu_);
-  if (!tenants_.emplace(tenant, std::move(state)).second) {
-    throw std::invalid_argument("Server::CreateTenant: tenant '" + tenant +
-                                "' already exists");
-  }
+  tenants_.emplace(tenant, std::move(state));
 }
 
 bool Server::HasTenant(const std::string& tenant) const {

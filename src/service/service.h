@@ -63,16 +63,12 @@ struct ServerOptions {
   common::ThreadPool* pool = nullptr;
   /// Upper bound on Implies queries coalesced into one ProveAll sweep.
   int max_batch = 256;
-  /// QueryProfiles each tenant's flight recorder retains (main ring and
-  /// slow ring each).
-  int flight_recorder_capacity = 128;
   /// Slow-query classification: a request is slow when its wall time
-  /// reaches max(floor, ValueAtQuantile(quantile)) of the tenant's
-  /// request-latency histogram — the quantile needs ≥32 recorded requests
-  /// before it participates, so a cold tenant classifies against the
-  /// floor alone. Tests set the floor to 0 to make every request slow.
+  /// reaches max(floor, p99) of the tenant's request-latency histogram —
+  /// the p99 needs ≥32 recorded requests before it participates, so a
+  /// cold tenant classifies against the floor alone. Tests set the floor
+  /// to 0 to make every request slow.
   int64_t slow_query_floor_us = 10000;
-  double slow_query_quantile = 0.99;
 };
 
 /// One writer-path catalog edit.
@@ -163,10 +159,6 @@ class Session {
   uint64_t epoch() const;
   /// The pinned immutable snapshot (deps, FD projection, ids, attributes).
   const theory::TheorySnapshot& snapshot() const;
-  /// The frozen replica theory backing the pinned epoch — safe for
-  /// unlimited concurrent reads. Never mutate it: its prover shares the
-  /// tenant memo and relies on the epoch naming this catalog state.
-  const std::shared_ptr<theory::Theory>& theory() const;
 
   /// ℳ@epoch ⊨ dep. Fast path: the tenant memo at the pinned epoch (one
   /// shared-lock probe). Miss: coalesced with concurrent misses into a
@@ -226,8 +218,8 @@ class Session {
 ///   * The writer path (`Add`/`Remove`/`Apply`) is internally serialized
 ///     per tenant (a writer mutex), so multiple callers are safe — they
 ///     queue. Each sweep publishes exactly one new epoch state.
-///   * `CreateTenant` may race with everything; tenant creation is
-///     idempotent-checked (throws on duplicates).
+///   * `CreateTenant` may race with everything; a duplicate name throws
+///     before anything is published or recorded.
 ///
 /// The Server must outlive every Session and every thread using it.
 class Server {
@@ -249,8 +241,9 @@ class Server {
   /// Writer path: applies the sweep to the tenant's master catalog (the
   /// tenant memo is swept per mutation with certificate-checked retention,
   /// while sessions keep reading it at their pinned epochs) and publishes
-  /// ONE new epoch state at the end: a snapshot, a replica prover on the
-  /// same memo, and a batcher. Throws std::out_of_range on unknown tenants.
+  /// ONE new epoch state at the end: the catalog value (by pointer), a
+  /// replica prover on the same memo, and a batcher. Throws
+  /// std::out_of_range on unknown tenants.
   ApplyResult Apply(const std::string& tenant,
                     const std::vector<Mutation>& mutations);
   /// Single-mutation conveniences (one publish each).
@@ -279,8 +272,8 @@ class Server {
                                          size_t n = 32) const;
   /// The wall-time bound (µs) at/above which the tenant's next request
   /// would be classified slow right now — max(slow_query_floor_us, the
-  /// request-latency histogram's slow_query_quantile once ≥32 requests
-  /// have been recorded).
+  /// request-latency histogram's p99 once ≥32 requests have been
+  /// recorded).
   int64_t SlowQueryThresholdUs(const std::string& tenant) const;
   /// JSON export of every tenant's flight recorder:
   /// `{"tenants":{"<name>":{"profiles":[...],"slow":[...],...}, ...}}`.

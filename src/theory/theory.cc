@@ -24,75 +24,71 @@ common::Counter& ListenerNotifications() {
   return *c;
 }
 
+/// A copy of `v` with room for one more element: an exact copy would
+/// double on the next Add, and the next published value would keep that.
+template <typename T>
+std::vector<T> WithSpareSlot(const std::vector<T>& v) {
+  std::vector<T> out;
+  out.reserve(v.size() + 1);
+  out.assign(v.begin(), v.end());
+  return out;
+}
+
 }  // namespace
 
 Theory::Theory(const DependencySet& m) {
-  ids_.reserve(m.ods().size());
   for (const auto& dep : m.ods()) Add(dep);
 }
 
-Theory::Theory(const TheorySnapshot& snapshot)
-    : deps_(snapshot.deps),
-      fds_(snapshot.fd_projection),
-      ids_(snapshot.ids),
-      epoch_(snapshot.epoch),
-      next_id_(snapshot.next_id) {
-  // Rebuild the refcounted attribute universe from the restored deps; it
-  // lands element-identical to the snapshot's attribute set because the
-  // refcounts are a pure function of the constraint multiset.
-  for (const auto& dep : deps_.ods()) TrackAttributes(dep, +1);
-}
+Theory::Theory(std::shared_ptr<const TheorySnapshot> snapshot)
+    : value_(std::move(snapshot)), shared_(true) {}
 
-void Theory::TrackAttributes(const OrderDependency& dep, int delta) {
-  // Iterate the bitset directly — this runs on every mutation and on the
-  // Theory(DependencySet) bulk path, where a ToVector() heap allocation
-  // per constraint would dominate construction.
-  uint64_t bits = dep.Attributes().bits();
-  while (bits != 0) {
-    const int a = __builtin_ctzll(bits);
-    bits &= bits - 1;
-    attr_refs_[a] += delta;
-    if (attr_refs_[a] > 0) {
-      attributes_.Add(a);
-    } else {
-      attributes_.Remove(a);
-    }
+TheorySnapshot& Theory::Mutable() {
+  if (shared_) {
+    const TheorySnapshot& v = *value_;
+    value_ = std::make_shared<TheorySnapshot>(TheorySnapshot{
+        v.epoch, DependencySet(WithSpareSlot(v.deps.ods())),
+        fd::FdSet(WithSpareSlot(v.fd_projection.fds())),
+        WithSpareSlot(v.ids), v.attributes, v.next_id});
+    shared_ = false;
   }
+  // Unshared, value_ is a copy this theory made, never a const object.
+  return const_cast<TheorySnapshot&>(*value_);
 }
 
 ConstraintId Theory::Add(OrderDependency dep) {
-  const ConstraintId id = next_id_++;
-  fds_.Add(dep.lhs.ToSet(), dep.rhs.ToSet());
-  ids_.push_back(id);
-  TrackAttributes(dep, +1);
-  deps_.Add(dep);  // after the uses above; `dep` is still valid here
-  ++epoch_;
-  snapshot_cache_.reset();
+  TheorySnapshot& v = Mutable();
+  const ConstraintId id = v.next_id++;
+  v.fd_projection.Add(dep.lhs.ToSet(), dep.rhs.ToSet());
+  v.ids.push_back(id);
+  v.attributes = v.attributes.Union(dep.Attributes());
+  v.deps.Add(dep);  // after the uses above; `dep` is still valid here
+  ++v.epoch;
   EpochBumps().Add();
-  Notify(ChangeEvent{ChangeEvent::Kind::kAdd, id, std::move(dep), epoch_});
+  Notify(ChangeEvent{ChangeEvent::Kind::kAdd, id, std::move(dep), v.epoch});
   return id;
 }
 
 bool Theory::Remove(ConstraintId id) {
   auto index = IndexOf(id);
   if (!index) return false;
-  OrderDependency removed = deps_[*index];
-  deps_.RemoveAt(*index);
-  fds_.RemoveAt(*index);
-  ids_.erase(ids_.begin() + *index);
-  TrackAttributes(removed, -1);
-  ++epoch_;
-  snapshot_cache_.reset();
+  TheorySnapshot& v = Mutable();
+  OrderDependency removed = v.deps[*index];
+  v.deps.RemoveAt(*index);
+  v.fd_projection.RemoveAt(*index);
+  v.ids.erase(v.ids.begin() + *index);
+  v.attributes = v.deps.Attributes();
+  ++v.epoch;
   EpochBumps().Add();
-  Notify(
-      ChangeEvent{ChangeEvent::Kind::kRemove, id, std::move(removed), epoch_});
+  Notify(ChangeEvent{ChangeEvent::Kind::kRemove, id, std::move(removed),
+                     v.epoch});
   return true;
 }
 
 ConstraintId Theory::RemoveOne(const OrderDependency& dep) {
-  for (int i = 0; i < deps_.Size(); ++i) {
-    if (deps_[i] == dep) {
-      const ConstraintId id = ids_[i];
+  for (int i = 0; i < Size(); ++i) {
+    if (deps()[i] == dep) {
+      const ConstraintId id = ids()[i];
       Remove(id);
       return id;
     }
@@ -101,30 +97,20 @@ ConstraintId Theory::RemoveOne(const OrderDependency& dep) {
 }
 
 std::optional<int> Theory::IndexOf(ConstraintId id) const {
-  auto it = std::find(ids_.begin(), ids_.end(), id);
-  if (it == ids_.end()) return std::nullopt;
-  return static_cast<int>(it - ids_.begin());
+  auto it = std::find(ids().begin(), ids().end(), id);
+  if (it == ids().end()) return std::nullopt;
+  return static_cast<int>(it - ids().begin());
 }
 
 std::optional<OrderDependency> Theory::Find(ConstraintId id) const {
   auto index = IndexOf(id);
   if (!index) return std::nullopt;
-  return deps_[*index];
+  return deps()[*index];
 }
 
-std::shared_ptr<const TheorySnapshot> Theory::Snapshot() const {
-  if (snapshot_cache_ && snapshot_cache_->epoch == epoch_) {
-    return snapshot_cache_;
-  }
-  auto snap = std::make_shared<TheorySnapshot>();
-  snap->epoch = epoch_;
-  snap->deps = deps_;
-  snap->fd_projection = fds_;
-  snap->ids = ids_;
-  snap->attributes = attributes_;
-  snap->next_id = next_id_;
-  snapshot_cache_ = snap;
-  return snapshot_cache_;
+std::shared_ptr<const TheorySnapshot> Theory::Snapshot() {
+  shared_ = true;
+  return value_;
 }
 
 Theory::ListenerToken Theory::Subscribe(Listener listener) {

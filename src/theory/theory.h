@@ -1,7 +1,6 @@
 #ifndef OD_THEORY_THEORY_H_
 #define OD_THEORY_THEORY_H_
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -36,25 +35,25 @@ struct ChangeEvent {
   uint64_t epoch;
 };
 
-/// An immutable, epoch-tagged copy of a Theory's full logical state — the
-/// unit of publication in the snapshot-isolation design (docs/theory.md,
-/// docs/service.md). A snapshot is a *true copy*: after extraction it
-/// shares no mutable structure with the source theory, so the writer can
-/// keep mutating while any number of readers hold the snapshot, and two
-/// snapshots taken at the same epoch compare equal.
+/// One version of a Theory's catalog — ℳ, its FD projection, stable ids,
+/// attribute universe, epoch and next id — and the unit of publication in
+/// the snapshot-isolation design (docs/theory.md, docs/service.md). A
+/// Theory holds its state as one of these and never writes a value it
+/// has handed out (see Theory::Snapshot), so any number of readers may
+/// share one while the writer moves on.
 ///
-/// `Theory(const TheorySnapshot&)` restores a frozen replica — same deps,
-/// FD projection, stable ids, attribute refcounts, epoch, and id counter —
-/// which is what lets prover memo entries (whose support certificates name
-/// constraint ids) transfer between a live catalog and its snapshots.
+/// `Theory(std::shared_ptr<const TheorySnapshot>)` adopts a value as a
+/// frozen replica, copying nothing — which is what lets prover memo
+/// entries (whose support certificates name constraint ids) transfer
+/// between a live catalog and its replicas.
 struct TheorySnapshot {
   uint64_t epoch = 0;
   DependencySet deps;
   fd::FdSet fd_projection;
   std::vector<ConstraintId> ids;
   AttributeSet attributes;
-  /// The id the source theory would mint next; restored replicas continue
-  /// the same never-reused id sequence.
+  /// The id the theory would mint next; replicas continue the same
+  /// never-reused id sequence.
   ConstraintId next_id = 0;
 
   friend bool operator==(const TheorySnapshot& a, const TheorySnapshot& b) {
@@ -74,13 +73,14 @@ struct TheorySnapshot {
 /// Real catalogs change: constraints are declared, dropped, and refined
 /// over a system's life. Theory supports that with
 ///
-///   * `Add` / `Remove`: O(1) amortized add, O(|ℳ|) remove, each advancing
-///     a monotonically increasing `epoch()`;
+///   * `Add` / `Remove`: O(1) amortized add, O(|ℳ|) remove (the first edit
+///     after a `Snapshot()` also copies ℳ), each advancing a monotonically
+///     increasing `epoch()`;
 ///   * an *incrementally maintained* FD projection ℱ = {set(X) → set(Y)}
 ///     (Lemma 1 / Theorem 16) — one FD per OD, updated in place instead of
 ///     recomputed from scratch on every change;
-///   * an incrementally maintained attribute universe (per-attribute
-///     reference counts, so removals shrink it correctly);
+///   * an incrementally maintained attribute universe (`Remove` recomputes
+///     it from ℳ, so removals shrink it correctly);
 ///   * change listeners, through which a `prover::Prover` (or any other
 ///     derived structure) keeps its caches consistent without polling.
 ///
@@ -94,31 +94,31 @@ struct TheorySnapshot {
 ///   * Mutations (`Add`, `Remove`) are writer-thread only: they must not
 ///     race with each other or with direct catalog readers — including
 ///     queries on attached provers, whose listener sweep walks every memo
-///     shard. `Snapshot()` is also writer-side (it maintains a cache).
+///     shard. `Snapshot()` is also writer-side (it sets the shared mark
+///     that makes the next mutation copy).
 ///   * `Subscribe`/`Unsubscribe` are internally synchronized against each
 ///     other, so concurrent *readers* of a frozen (never again mutated)
-///     theory may attach and detach provers freely — the pattern the
-///     service's pinned epoch replicas rely on. They still must not race
-///     with mutations, and listeners must not subscribe or mutate
+///     theory may attach and detach provers freely. They still must not
+///     race with mutations, and listeners must not subscribe or mutate
 ///     re-entrantly from inside a notification.
 ///   * A frozen theory (one that no thread will mutate again) is safe for
 ///     unlimited concurrent reads through every const accessor.
 ///
 /// Readers that must overlap with a live writer go through
-/// `TheorySnapshot` instead of the accessors: the writer extracts and
-/// publishes snapshots (cheap shared_ptr hand-off), readers pin one and
-/// never touch the mutating object — see od::service::Server.
+/// `TheorySnapshot` instead of the accessors: the writer publishes its
+/// current value by shared_ptr hand-off, readers pin one and never touch
+/// the mutating object — see od::service::Server.
 class Theory {
  public:
   Theory() = default;
   /// Seeds the catalog with every OD in `m` (epoch advances once per OD).
   explicit Theory(const DependencySet& m);
-  /// Restores a frozen replica of the snapshotted state: identical deps,
-  /// FD projection, stable ids, attributes, epoch, and next-id counter (no
-  /// listeners — subscriptions never transfer). Mutating the replica is
-  /// legal and continues the source's epoch/id sequence, but the intended
-  /// use is a read-only stand-in pinned at the snapshot's version.
-  explicit Theory(const TheorySnapshot& snapshot);
+  /// Adopts `snapshot` as a frozen replica, copying nothing: identical
+  /// deps, FD projection, stable ids, attributes, epoch, and next-id
+  /// counter (no listeners — subscriptions never transfer). Mutating the
+  /// replica is legal (it copies first) and continues the source's
+  /// epoch/id sequence, but the intended use is a read-only stand-in.
+  explicit Theory(std::shared_ptr<const TheorySnapshot> snapshot);
 
   /// A theory has identity — stable ids, an epoch history, and listeners
   /// holding pointers back to their subscribers — so copying one would
@@ -144,38 +144,37 @@ class Theory {
   /// Number of successful mutations since construction; strictly increases
   /// by exactly 1 per Add/Remove. Two Theory objects at the same epoch that
   /// followed the same script are in identical states.
-  uint64_t epoch() const { return epoch_; }
+  uint64_t epoch() const { return value_->epoch; }
 
-  int Size() const { return deps_.Size(); }
-  bool IsEmpty() const { return deps_.IsEmpty(); }
+  int Size() const { return value_->deps.Size(); }
+  bool IsEmpty() const { return value_->deps.IsEmpty(); }
   bool Contains(const OrderDependency& dep) const {
-    return deps_.Contains(dep);
+    return value_->deps.Contains(dep);
   }
 
   /// The current constraint set ℳ, maintained incrementally.
-  const DependencySet& deps() const { return deps_; }
+  const DependencySet& deps() const { return value_->deps; }
   /// The current FD projection ℱ of ℳ, maintained incrementally —
   /// identical (order included) to fd::FdProjection(deps()).
-  const fd::FdSet& fd_projection() const { return fds_; }
+  const fd::FdSet& fd_projection() const { return value_->fd_projection; }
   /// Stable ids, aligned by index with deps().ods() and
   /// fd_projection().fds().
-  const std::vector<ConstraintId>& ids() const { return ids_; }
+  const std::vector<ConstraintId>& ids() const { return value_->ids; }
   /// Current index of a live constraint id, if any (O(|ℳ|)).
   std::optional<int> IndexOf(ConstraintId id) const;
   /// The dependency currently registered under `id`, if live.
   std::optional<OrderDependency> Find(ConstraintId id) const;
 
-  /// All attributes mentioned by some live constraint (refcounted, so it
-  /// shrinks when the last constraint naming an attribute is removed).
-  const AttributeSet& attributes() const { return attributes_; }
+  /// All attributes mentioned by some live constraint (it shrinks when
+  /// the last constraint naming an attribute is removed).
+  const AttributeSet& attributes() const { return value_->attributes; }
 
-  /// Extracts the current state as an immutable snapshot (see
-  /// TheorySnapshot). The snapshot is cached per epoch: repeated calls
-  /// without an intervening mutation return the same shared_ptr, so the
-  /// copy is paid once per version no matter how many readers pin it.
-  /// Writer-thread only (the cache is unsynchronized mutable state); the
-  /// *returned* snapshot is immutable and safe to share with any thread.
-  std::shared_ptr<const TheorySnapshot> Snapshot() const;
+  /// The current value itself (see TheorySnapshot), marked shared so the
+  /// next Add/Remove edits a copy: a returned value never changes, and
+  /// mutations with no Snapshot() between them copy nothing. Writer-thread
+  /// only (it sets the mark); the *returned* value is immutable and safe
+  /// to share with any thread.
+  std::shared_ptr<const TheorySnapshot> Snapshot();
 
   /// Change subscription. Listeners run synchronously inside Add/Remove,
   /// in subscription order, after the theory state is updated; they must
@@ -189,23 +188,22 @@ class Theory {
 
  private:
   void Notify(const ChangeEvent& event) const;
-  void TrackAttributes(const OrderDependency& dep, int delta);
+  /// value_, copied first if it is shared.
+  TheorySnapshot& Mutable();
 
-  DependencySet deps_;
-  fd::FdSet fds_;
-  std::vector<ConstraintId> ids_;
-  AttributeSet attributes_;
-  std::array<int32_t, kMaxAttributes> attr_refs_{};
-  uint64_t epoch_ = 0;
-  ConstraintId next_id_ = 0;
+  std::shared_ptr<const TheorySnapshot> value_ =
+      std::make_shared<TheorySnapshot>();
+  /// Set once value_ may be read outside this theory (handed out or
+  /// adopted); the copy in Mutable() clears it. Not value_.use_count():
+  /// that is a relaxed load, which orders no reader's last access before
+  /// the next edit.
+  bool shared_ = false;
   /// Guards listeners_/next_token_ so concurrent Subscribe/Unsubscribe on
   /// a frozen theory are safe (provers attach from any reader thread).
   /// Held across Notify, which is why listeners must not re-enter.
   mutable std::mutex listeners_mu_;
   std::vector<std::pair<ListenerToken, Listener>> listeners_;
   ListenerToken next_token_ = 0;
-  /// Lazily extracted snapshot of the current epoch (writer-side cache).
-  mutable std::shared_ptr<const TheorySnapshot> snapshot_cache_;
 };
 
 }  // namespace theory

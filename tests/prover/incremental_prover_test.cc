@@ -356,7 +356,7 @@ TEST(IncrementalProverTest, AnswersStoredBehindTheHeadDropAtTheNextSweep) {
   Prover owner(th);
   const auto e0 = th->Snapshot();
   th->Add(AttributeList({2}), AttributeList({3}));
-  Prover behind(*e0, owner);
+  Prover behind(e0, owner);
   const OrderDependency q(AttributeList({0}), AttributeList({1}));
   EXPECT_TRUE(behind.Implies(q));
   EXPECT_EQ(owner.memo_size(), 1);

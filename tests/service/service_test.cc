@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,16 +38,73 @@ OrderDependency Od(std::initializer_list<AttributeId> lhs,
   return OrderDependency(L(lhs), L(rhs));
 }
 
+common::Counter& PublishesOf(const std::string& tenant) {
+  return common::MetricRegistry::Global().GetCounter(
+      "od_service_publishes_total", "", common::FormatLabel("tenant", tenant));
+}
+
 TEST(ServiceTest, TenantLifecycle) {
   Server server;
   EXPECT_FALSE(server.HasTenant("acme"));
   server.CreateTenant("acme");
   EXPECT_TRUE(server.HasTenant("acme"));
+  server.Add("acme", Od({0}, {1}));
+  server.Add("acme", Od({1}, {2}));
+
+  // A rejected duplicate publishes and records nothing: the live tenant's
+  // labeled series (keyed by the name) keep their values.
+  const common::Gauge& published_epoch =
+      common::MetricRegistry::Global().GetGauge(
+          "od_service_published_epoch", "",
+          common::FormatLabel("tenant", "acme"));
+  const int64_t publishes = PublishesOf("acme").Value();
+  ASSERT_EQ(published_epoch.Value(), 2);
   EXPECT_THROW(server.CreateTenant("acme"), std::invalid_argument);
+  EXPECT_EQ(published_epoch.Value(), 2);
+  EXPECT_EQ(PublishesOf("acme").Value() - publishes, 0);
+  EXPECT_EQ(server.PublishedEpoch("acme"), 2u);
+
   EXPECT_THROW(server.OpenSession("nobody"), std::out_of_range);
   EXPECT_THROW(server.Add("nobody", Od({0}, {1})), std::out_of_range);
   server.CreateTenant("globex");
   EXPECT_EQ(server.Tenants(), (std::vector<std::string>{"acme", "globex"}));
+
+  // Callers racing to create one name: one wins and publishes once.
+  const int64_t raced = PublishesOf("initech").Value();
+  std::atomic<int> created{0};
+  std::atomic<int> rejected{0};
+  std::vector<std::thread> callers;
+  for (int i = 0; i < 4; ++i) {
+    callers.emplace_back([&] {
+      try {
+        server.CreateTenant("initech");
+        created.fetch_add(1);
+      } catch (const std::invalid_argument&) {
+        rejected.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(created.load(), 1);
+  EXPECT_EQ(rejected.load(), 3);
+  EXPECT_EQ(PublishesOf("initech").Value() - raced, 1);
+}
+
+TEST(ServiceTest, PublicationHandsTheCatalogValueToTheEpochProver) {
+  Server server;
+  server.CreateTenant("t");
+  server.Apply("t", {Mutation::Add(Od({0}, {1})), Mutation::Add(Od({1}, {2}))});
+  Session s = server.OpenSession("t");
+  // The epoch prover reads the very value the writer published: no copy.
+  EXPECT_EQ(&server.Catalog("t")->deps, &s.pinned_prover().deps());
+  EXPECT_EQ(&s.snapshot(), server.Catalog("t").get());
+
+  // The writer's next edit copies the value; the pinned one stays intact.
+  const theory::TheorySnapshot pinned = s.snapshot();
+  server.Add("t", Od({2}, {3}));
+  EXPECT_EQ(s.snapshot(), pinned);
+  EXPECT_EQ(&s.snapshot().deps, &s.pinned_prover().deps());
+  EXPECT_NE(&server.Catalog("t")->deps, &s.pinned_prover().deps());
 }
 
 TEST(ServiceTest, SessionPinsEpochUntilRefresh) {
