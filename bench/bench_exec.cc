@@ -250,31 +250,6 @@ void BM_ExecParallelStreamingExchange10M(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10000000);
 }
 
-// Nested parallel regions: the same query at max_exchange_depth=2 — each
-// outer fragment's morsel is subdivided behind an inner exchange of its
-// own. Documents the overhead (or win) of nesting against the flat
-// streaming exchange above; arg = dop at both levels.
-void BM_ExecParallelNestedExchange10M(benchmark::State& state) {
-  StarWorkload& w = GetStar(10000000);
-  opt::LogicalQuery q = warehouse::DailySalesQuery(
-      &w.fact, &w.dim, &w.fact_index, /*fact_parts=*/nullptr, w.dim_ods,
-      /*year=*/1999);
-  const int dop = static_cast<int>(state.range(0));
-  opt::PlanOptions opts;
-  opts.dop = dop;
-  opts.pool = &BenchPool();
-  opts.max_exchange_depth = 2;
-  opt::CostModel cm;
-  cm.fragment_startup = 0;
-  opt::PhysicalPlan plan = opt::PlanQuery(q, cm, opts);
-  for (auto _ : state) {
-    opt::ExecStats stats;
-    engine::Table out = plan.Execute(&stats);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * 10000000);
-}
-
 BENCHMARK(BM_TaxOrderByStreamingOdBlind)
     ->Arg(1200000)
     ->Unit(benchmark::kMillisecond);
@@ -306,11 +281,6 @@ BENCHMARK(BM_ExecParallelStreamingExchange10M)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-BENCHMARK(BM_ExecParallelNestedExchange10M)
-    ->Arg(2)
-    ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 
 namespace od {
 
@@ -13,6 +15,14 @@ int CompareDoubles(double a, double b) {
     return a_nan ? 1 : -1;  // NaN sorts after every ordered value
   }
   return a < b ? -1 : (a > b ? 1 : 0);
+}
+
+uint64_t DoubleKey(double v) {
+  if (std::isnan(v)) v = std::numeric_limits<double>::quiet_NaN();
+  if (v == 0.0) v = 0.0;
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
 }
 
 int Value::Compare(const Value& other) const {

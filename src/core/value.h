@@ -17,6 +17,13 @@ namespace od {
 /// layer's grouping, which puts all NaN rows in one equivalence class.
 int CompareDoubles(double a, double b);
 
+/// Grouping key for doubles that agrees with CompareDoubles: the bit
+/// pattern with every NaN mapped to one quiet NaN and -0.0 to +0.0, so two
+/// doubles share a key iff CompareDoubles calls them equal. Hash-map
+/// equality (a == b) would put every NaN in a group of its own, and the
+/// two zeros have different bits.
+uint64_t DoubleKey(double v);
+
 /// A dynamically typed cell value from a totally ordered domain.
 ///
 /// The paper's theory is agnostic to the domain as long as it is totally

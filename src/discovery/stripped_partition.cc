@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <cstring>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -53,20 +50,6 @@ std::vector<std::vector<int64_t>> GroupRows(int64_t num_rows, Getter get) {
     if (rows.size() >= 2) classes.push_back(std::move(rows));
   }
   return classes;
-}
-
-/// Grouping key for doubles. Hash-map equality (a == b) disagrees with the
-/// engine's Column::Compare on the IEEE edge cases — NaN != NaN would put
-/// every NaN row in its own (stripped) singleton and -0.0/+0.0 hash
-/// unreliably — so group by the bit pattern with both normalized: all NaNs
-/// to one key, -0.0 to +0.0. This matches CompareDoubles (core/value.h),
-/// which ranks all NaNs equal and after every ordered value.
-uint64_t DoubleKey(double v) {
-  if (std::isnan(v)) v = std::numeric_limits<double>::quiet_NaN();
-  if (v == 0.0) v = 0.0;
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
 }
 
 }  // namespace

@@ -172,16 +172,6 @@ void EmitGroup(const Table& t, int64_t representative_row,
   out->FinishRow();
 }
 
-std::string GroupKey(const Table& t, int64_t row,
-                     const std::vector<ColumnId>& group_cols) {
-  std::string key;
-  for (ColumnId c : group_cols) {
-    key += t.col(c).Get(row).ToString();
-    key += '\x01';
-  }
-  return key;
-}
-
 }  // namespace
 
 namespace {
@@ -203,10 +193,12 @@ Table HashGroupBy(const Table& t, const std::vector<ColumnId>& group_cols,
   std::unordered_map<std::string, int64_t> groups;  // key -> group index
   std::vector<int64_t> representative;
   std::vector<std::vector<Acc>> accs;
+  std::string key;
   for (int64_t row = 0; row < t.num_rows(); ++row) {
-    std::string key = GroupKey(t, row, group_cols);
-    auto [it, inserted] = groups.try_emplace(std::move(key),
-                                             static_cast<int64_t>(accs.size()));
+    key.clear();
+    for (ColumnId c : group_cols) t.col(c).AppendKey(row, &key);
+    auto [it, inserted] =
+        groups.try_emplace(key, static_cast<int64_t>(accs.size()));
     if (inserted) {
       representative.push_back(row);
       accs.emplace_back(aggs.size());

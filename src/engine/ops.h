@@ -69,8 +69,10 @@ struct AggSpec {
 };
 
 /// Hash-based GROUP BY: no ordering requirement, unordered output (the
-/// result rows appear in first-seen order). Output schema: the group
-/// columns, then one column per aggregate.
+/// result rows appear in first-seen order). Rows share a group iff their
+/// group columns compare equal (Column::AppendKey), exactly as in
+/// StreamGroupBy. Output schema: the group columns, then one column per
+/// aggregate.
 Table HashGroupBy(const Table& t, const std::vector<ColumnId>& group_cols,
                   const std::vector<AggSpec>& aggs);
 

@@ -102,6 +102,23 @@ int Column::Compare(int64_t row, const Column& other, int64_t row2) const {
   return CompareDoubles(Numeric(row), other.Numeric(row2));
 }
 
+void Column::AppendKey(int64_t row, std::string* key) const {
+  uint64_t fixed = 0;
+  switch (type_) {
+    case DataType::kInt64:
+      fixed = static_cast<uint64_t>(ints_[row]);
+      break;
+    case DataType::kDouble:
+      fixed = DoubleKey(doubles_[row]);
+      break;
+    case DataType::kString:
+      fixed = strings_[row].size();
+      break;
+  }
+  key->append(reinterpret_cast<const char*>(&fixed), sizeof(fixed));
+  if (type_ == DataType::kString) key->append(strings_[row]);
+}
+
 void Column::Reserve(int64_t n) {
   switch (type_) {
     case DataType::kInt64:

@@ -71,6 +71,14 @@ class Column {
   /// Three-way comparison of this column's `row` against `other`'s `row2`.
   int Compare(int64_t row, const Column& other, int64_t row2) const;
 
+  /// Appends `row`'s grouping key to `key`: two rows of columns of one type
+  /// append the same bytes iff Compare calls them equal. Int64 appends its
+  /// 8 bytes, a double its DoubleKey (one key for every NaN, -0.0 as
+  /// +0.0), a string its length then its bytes, so keys of several columns
+  /// concatenate without ambiguity. The one key encoding of every hash
+  /// GROUP BY.
+  void AppendKey(int64_t row, std::string* key) const;
+
   void Reserve(int64_t n);
 
  private:

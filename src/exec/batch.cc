@@ -17,6 +17,14 @@ void Batch::Clear() {
   num_rows_ = 0;
 }
 
+void Batch::Prepare(const engine::Schema& schema) {
+  if (num_columns() == schema.num_columns()) {
+    Clear();
+  } else {
+    Reset(schema);
+  }
+}
+
 void Batch::AppendRows(const Batch& src, int64_t begin, int64_t end) {
   for (int c = 0; c < num_columns(); ++c) {
     cols_[c].AppendRange(src.cols_[c], begin, end);

@@ -40,6 +40,12 @@ class Batch {
   /// Drops all rows but keeps the column types (reuse across Next calls).
   void Clear();
 
+  /// Readies the batch for rows of `schema`: clears it, re-typing the
+  /// columns only when their count differs. A batch is meant to be reused
+  /// against one operator; the guard re-types it when a caller switches
+  /// operators. Operators call it at the top of Next.
+  void Prepare(const engine::Schema& schema);
+
   /// Appends `src`'s rows [begin, end) column-wise (types must match).
   void AppendRows(const Batch& src, int64_t begin, int64_t end);
 

@@ -11,6 +11,7 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "engine/ops.h"
+#include "exec/op_util.h"
 #include "exec/operator.h"
 #include "exec/spill.h"
 
@@ -30,22 +31,6 @@ common::Counter& SpilledBytesCounter() {
   return *c;
 }
 
-std::string SpecStr(const SortSpec& spec) {
-  std::string out = "[";
-  for (size_t i = 0; i < spec.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += std::to_string(spec[i]);
-  }
-  return out + "]";
-}
-
-/// Whether `spec` is a literal prefix of `ordering` — rows sorted by
-/// `ordering` are then sorted by `spec` too (full sort elision).
-bool IsPrefixOf(const SortSpec& spec, const SortSpec& ordering) {
-  if (spec.size() > ordering.size()) return false;
-  return std::equal(spec.begin(), spec.end(), ordering.begin());
-}
-
 /// One participant of the k-way merge: either a spilled run streamed back
 /// chunk-at-a-time, or the final in-memory run sliced lazily. Holds exactly
 /// one chunk at a time, so the merge's footprint is O(runs · chunk).
@@ -60,20 +45,9 @@ struct RunCursor {
   bool Refill() {
     row = 0;
     if (reader != nullptr) return reader->NextChunk(&cur);
-    if (mem == nullptr || mem_pos >= mem->num_rows()) return false;
-    const int64_t end =
-        std::min(mem->num_rows(), mem_pos + chunk_rows);
-    if (cur.num_columns() == mem->num_columns()) {
-      cur.Clear();
-    } else {
-      cur.Reset(mem->schema());
-    }
-    for (int c = 0; c < mem->num_columns(); ++c) {
-      cur.col(c).AppendRange(mem->col(c), mem_pos, end);
-    }
-    cur.SetRowCount(end - mem_pos);
-    mem_pos = end;
-    return true;
+    if (mem == nullptr) return false;
+    cur.Prepare(mem->schema());
+    return EmitTableSlice(*mem, &mem_pos, chunk_rows, &cur);
   }
 
   /// Moves to the next row; false when the run is exhausted.
@@ -106,11 +80,7 @@ class ExternalSortOp : public Operator {
   }
 
   bool Next(Batch* out) override {
-    if (out->num_columns() == schema_.num_columns()) {
-      out->Clear();
-    } else {
-      out->Reset(schema_);
-    }
+    out->Prepare(schema_);
     if (passthrough_) {
       if (!claimed_) {
         child_->StartConsume("exec::ExternalSort");
@@ -120,25 +90,11 @@ class ExternalSortOp : public Operator {
       return child_->Next(out);
     }
     if (!ready_) BuildRuns();
+    // Single in-memory run: emit it directly, no merge machinery.
     if (cursors_.empty()) {
-      // Single in-memory run: emit it directly, no merge machinery.
-      if (pos_ >= final_run_.num_rows()) return false;
-      const int64_t end =
-          std::min(final_run_.num_rows(), pos_ + batch_rows_);
-      for (int c = 0; c < final_run_.num_columns(); ++c) {
-        out->col(c).AppendRange(final_run_.col(c), pos_, end);
-      }
-      out->SetRowCount(end - pos_);
-      pos_ = end;
-      return true;
+      return EmitTableSlice(final_run_, &pos_, batch_rows_, out);
     }
     return NextMerged(out);
-  }
-
-  std::string Describe(int indent) const override {
-    return Pad(indent) + "ExternalSort by " + SpecStr(spec_) + " budget=" +
-           std::to_string(options_.memory_budget_rows) +
-           " (pipeline breaker)\n" + child_->Describe(indent + 1);
   }
 
  private:

@@ -54,7 +54,6 @@ class Operator {
   const engine::SortSpec& ordering() const { return ordering_; }
 
   virtual bool Next(Batch* out) = 0;
-  virtual std::string Describe(int indent = 0) const = 0;
 
   /// Claims this operator for one full consumption. Called by Drain (and
   /// any other sink that pulls to exhaustion); throws std::logic_error if
@@ -70,8 +69,6 @@ class Operator {
   bool consumed() const { return consumed_; }
 
  protected:
-  static std::string Pad(int indent) { return std::string(indent * 2, ' '); }
-
   engine::Schema schema_;
   engine::SortSpec ordering_;
 

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "exec/op_util.h"
+
 namespace od {
 namespace exec {
 
@@ -34,74 +36,6 @@ void CheckColumns(const Schema& s, const std::vector<ColumnId>& cols,
   for (ColumnId c : cols) CheckColumn(s, c, op);
 }
 
-std::string SpecString(const SortSpec& spec) {
-  std::string out = "[";
-  for (size_t i = 0; i < spec.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += std::to_string(spec[i]);
-  }
-  return out + "]";
-}
-
-/// Output schema of a join: left columns, then right columns with
-/// colliding names prefixed (mirrors engine::HashJoin/SortMergeJoin).
-Schema JoinSchema(const Schema& left, const Schema& right,
-                  const std::string& right_prefix) {
-  Schema out;
-  for (int c = 0; c < left.num_columns(); ++c) {
-    out.Add(left.col(c).name, left.col(c).type);
-  }
-  for (int c = 0; c < right.num_columns(); ++c) {
-    std::string name = right.col(c).name;
-    if (out.Find(name) >= 0) name = right_prefix + name;
-    out.Add(name, right.col(c).type);
-  }
-  return out;
-}
-
-Schema AggOutputSchema(const Schema& in, const std::vector<ColumnId>& groups,
-                       const std::vector<AggSpec>& aggs) {
-  Schema out;
-  for (ColumnId c : groups) out.Add(in.col(c).name, in.col(c).type);
-  for (const auto& a : aggs) {
-    out.Add(a.out_name, a.kind == AggSpec::Kind::kCount ? DataType::kInt64
-                                                        : DataType::kDouble);
-  }
-  return out;
-}
-
-/// Aggregate accumulator (the engine's, restated for batch streams).
-struct Acc {
-  int64_t count = 0;
-  double sum = 0;
-  double min = 0;
-  double max = 0;
-  bool has = false;
-
-  void Add(double v) {
-    ++count;
-    sum += v;
-    // CompareDoubles, not raw `<`: NaN must order totally (ties with NaN,
-    // after every value) or min/max stop being associative — and the
-    // parallel merge of per-fragment accumulators relies on associativity.
-    if (!has || CompareDoubles(v, min) < 0) min = v;
-    if (!has || CompareDoubles(v, max) > 0) max = v;
-    has = true;
-  }
-  void AddCountOnly() { ++count; }
-
-  double Result(AggSpec::Kind kind) const {
-    switch (kind) {
-      case AggSpec::Kind::kCount: return static_cast<double>(count);
-      case AggSpec::Kind::kSum: return sum;
-      case AggSpec::Kind::kMin: return min;
-      case AggSpec::Kind::kMax: return max;
-      case AggSpec::Kind::kAvg: return count == 0 ? 0 : sum / count;
-    }
-    return 0;
-  }
-};
-
 bool MatchesBatch(const Predicate& p, const Batch& b, int64_t row) {
   const Value v = b.col(p.col).Get(row);
   switch (p.op) {
@@ -115,38 +49,10 @@ bool MatchesBatch(const Predicate& p, const Batch& b, int64_t row) {
   return false;
 }
 
-/// Shared base: operators clear (or lazily type) the caller's batch before
-/// filling it. A batch is meant to be reused against one operator; the
-/// column-count guard re-types it when a caller switches operators.
-class OperatorBase : public Operator {
- protected:
-  void PrepareBatch(Batch* out) const {
-    if (out->num_columns() == schema_.num_columns()) {
-      out->Clear();
-    } else {
-      out->Reset(schema_);
-    }
-  }
-};
-
-/// Emits [pos, pos + batch_rows) of a materialized table and advances pos.
-/// The slice helper behind Scan and every pipeline breaker's emit phase.
-bool EmitTableSlice(const Table& t, int64_t* pos, int64_t batch_rows,
-                    Batch* out) {
-  if (*pos >= t.num_rows()) return false;
-  const int64_t end = std::min(t.num_rows(), *pos + batch_rows);
-  for (int c = 0; c < t.num_columns(); ++c) {
-    out->col(c).AppendRange(t.col(c), *pos, end);
-  }
-  out->SetRowCount(end - *pos);
-  *pos = end;
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // Scans.
 
-class ScanOp : public OperatorBase {
+class ScanOp : public Operator {
  public:
   ScanOp(const Table* table, int64_t row_begin, int64_t row_end,
          opt::ExecStats* stats, int64_t batch_rows)
@@ -160,7 +66,7 @@ class ScanOp : public OperatorBase {
   }
 
   bool Next(Batch* out) override {
-    PrepareBatch(out);
+    out->Prepare(schema_);
     if (pos_ >= end_) return false;
     const int64_t stop = std::min(end_, pos_ + batch_rows_);
     for (int c = 0; c < table_->num_columns(); ++c) {
@@ -172,12 +78,6 @@ class ScanOp : public OperatorBase {
     return true;
   }
 
-  std::string Describe(int indent) const override {
-    return Pad(indent) + "Scan (rows [" + std::to_string(pos_) + ", " +
-           std::to_string(end_) + "), batch " + std::to_string(batch_rows_) +
-           ")\n";
-  }
-
  private:
   const Table* table_;
   opt::ExecStats* stats_;
@@ -186,23 +86,9 @@ class ScanOp : public OperatorBase {
   int64_t end_ = 0;
 };
 
-class IndexRangeScanOp : public OperatorBase {
+/// Streams positions [pos_begin, pos_end) of the index's key order.
+class IndexRangeScanOp : public Operator {
  public:
-  IndexRangeScanOp(const engine::OrderedIndex* index,
-                   std::optional<std::pair<int64_t, int64_t>> range,
-                   opt::ExecStats* stats, int64_t batch_rows)
-      : index_(index), range_(range), stats_(stats), batch_rows_(batch_rows) {
-    schema_ = index->table().schema();
-    ordering_ = index->key();
-    if (range.has_value()) {
-      std::tie(pos_, end_) = index->PositionRange(range->first, range->second);
-    } else {
-      pos_ = 0;
-      end_ = index->num_rows();
-    }
-  }
-
-  /// Morsel form: stream positions [pos_begin, pos_end) of the key order.
   IndexRangeScanOp(const engine::OrderedIndex* index, int64_t pos_begin,
                    int64_t pos_end, opt::ExecStats* stats, int64_t batch_rows)
       : index_(index),
@@ -215,7 +101,7 @@ class IndexRangeScanOp : public OperatorBase {
   }
 
   bool Next(Batch* out) override {
-    PrepareBatch(out);
+    out->Prepare(schema_);
     if (pos_ >= end_) return false;
     const int64_t stop = std::min(end_, pos_ + batch_rows_);
     const Table& t = index_->table();
@@ -230,26 +116,15 @@ class IndexRangeScanOp : public OperatorBase {
     return true;
   }
 
-  std::string Describe(int indent) const override {
-    std::string out = Pad(indent) + "IndexRangeScan";
-    if (range_.has_value()) {
-      out += " range=[" + std::to_string(range_->first) + ", " +
-             std::to_string(range_->second) + "]";
-    }
-    out += " ordering=" + SpecString(ordering_) + "\n";
-    return out;
-  }
-
  private:
   const engine::OrderedIndex* index_;
-  std::optional<std::pair<int64_t, int64_t>> range_;
   opt::ExecStats* stats_;
   int64_t batch_rows_;
   int64_t pos_ = 0;
   int64_t end_ = 0;
 };
 
-class PartitionedScanOp : public OperatorBase {
+class PartitionedScanOp : public Operator {
  public:
   PartitionedScanOp(const engine::PartitionedTable* table,
                     std::optional<std::pair<int64_t, int64_t>> range,
@@ -269,7 +144,7 @@ class PartitionedScanOp : public OperatorBase {
   }
 
   bool Next(Batch* out) override {
-    PrepareBatch(out);
+    out->Prepare(schema_);
     while (part_ < part_end_) {
       if (range_.has_value() &&
           (table_->range(part_).second < range_->first ||
@@ -310,22 +185,6 @@ class PartitionedScanOp : public OperatorBase {
     return out->num_rows() > 0;
   }
 
-  std::string Describe(int indent) const override {
-    std::string out = Pad(indent) + "PartitionedScan";
-    if (range_.has_value()) {
-      out += " pruned-to=[" + std::to_string(range_->first) + ", " +
-             std::to_string(range_->second) + "] (" +
-             std::to_string(
-                 table_->CountOverlapping(range_->first, range_->second)) +
-             "/" + std::to_string(table_->num_partitions()) + " partitions)";
-    } else {
-      out += " all-partitions (" + std::to_string(table_->num_partitions()) +
-             ")";
-    }
-    out += "\n";
-    return out;
-  }
-
  private:
   const engine::PartitionedTable* table_;
   std::optional<std::pair<int64_t, int64_t>> range_;
@@ -339,7 +198,7 @@ class PartitionedScanOp : public OperatorBase {
 // ---------------------------------------------------------------------------
 // Order-preserving streaming operators.
 
-class FilterOp : public OperatorBase {
+class FilterOp : public Operator {
  public:
   FilterOp(OpPtr child, std::vector<Predicate> preds)
       : child_(std::move(child)), preds_(std::move(preds)) {
@@ -349,7 +208,7 @@ class FilterOp : public OperatorBase {
   }
 
   bool Next(Batch* out) override {
-    PrepareBatch(out);
+    out->Prepare(schema_);
     while (out->empty()) {
       if (!child_->Next(&scratch_)) return false;
       for (int64_t r = 0; r < scratch_.num_rows(); ++r) {
@@ -366,18 +225,13 @@ class FilterOp : public OperatorBase {
     return true;
   }
 
-  std::string Describe(int indent) const override {
-    return Pad(indent) + "Filter (" + std::to_string(preds_.size()) +
-           " predicates)\n" + child_->Describe(indent + 1);
-  }
-
  private:
   OpPtr child_;
   std::vector<Predicate> preds_;
   Batch scratch_;
 };
 
-class ProjectOp : public OperatorBase {
+class ProjectOp : public Operator {
  public:
   ProjectOp(OpPtr child, std::vector<ColumnId> cols)
       : child_(std::move(child)), cols_(std::move(cols)) {
@@ -398,7 +252,7 @@ class ProjectOp : public OperatorBase {
   }
 
   bool Next(Batch* out) override {
-    PrepareBatch(out);
+    out->Prepare(schema_);
     if (!child_->Next(&scratch_)) return false;
     for (size_t i = 0; i < cols_.size(); ++i) {
       out->col(static_cast<int>(i))
@@ -408,18 +262,13 @@ class ProjectOp : public OperatorBase {
     return true;
   }
 
-  std::string Describe(int indent) const override {
-    return Pad(indent) + "Project " + SpecString(cols_) + "\n" +
-           child_->Describe(indent + 1);
-  }
-
  private:
   OpPtr child_;
   std::vector<ColumnId> cols_;
   Batch scratch_;
 };
 
-class StreamAggregateOp : public OperatorBase {
+class StreamAggregateOp : public Operator {
  public:
   StreamAggregateOp(OpPtr child, std::vector<ColumnId> group_cols,
                     std::vector<AggSpec> aggs)
@@ -448,7 +297,7 @@ class StreamAggregateOp : public OperatorBase {
   }
 
   bool Next(Batch* out) override {
-    PrepareBatch(out);
+    out->Prepare(schema_);
     if (done_) return false;
     while (out->empty()) {
       if (!child_->Next(&scratch_)) {
@@ -476,11 +325,6 @@ class StreamAggregateOp : public OperatorBase {
       }
     }
     return true;
-  }
-
-  std::string Describe(int indent) const override {
-    return Pad(indent) + "StreamAggregate groups=" + SpecString(group_cols_) +
-           " (order-exploiting)\n" + child_->Describe(indent + 1);
   }
 
  private:
@@ -530,7 +374,7 @@ struct Cursor {
   void Advance() { ++pos; }
 };
 
-class MergeJoinOp : public OperatorBase {
+class MergeJoinOp : public Operator {
  public:
   MergeJoinOp(OpPtr left, ColumnId left_key, OpPtr right, ColumnId right_key,
               opt::ExecStats* stats, const std::string& right_prefix)
@@ -556,7 +400,7 @@ class MergeJoinOp : public OperatorBase {
   }
 
   bool Next(Batch* out) override {
-    PrepareBatch(out);
+    out->Prepare(schema_);
     while (out->num_rows() < kDefaultBatchRows) {
       if (run_active_) {
         EmitRun(out);
@@ -575,13 +419,6 @@ class MergeJoinOp : public OperatorBase {
       }
     }
     return out->num_rows() > 0;
-  }
-
-  std::string Describe(int indent) const override {
-    return Pad(indent) + "MergeJoin keys=(" + std::to_string(left_key_) +
-           ", " + std::to_string(right_key_) + ") (streaming)\n" +
-           left_hold_->Describe(indent + 1) +
-           right_hold_->Describe(indent + 1);
   }
 
  private:
@@ -634,16 +471,16 @@ class MergeJoinOp : public OperatorBase {
   int left_cols_ = 0;
 };
 
-class LimitOp : public OperatorBase {
+class LimitOp : public Operator {
  public:
   LimitOp(OpPtr child, int64_t n)
-      : child_(std::move(child)), n_(n), remaining_(n) {
+      : child_(std::move(child)), remaining_(n) {
     schema_ = child_->schema();
     ordering_ = child_->ordering();
   }
 
   bool Next(Batch* out) override {
-    PrepareBatch(out);
+    out->Prepare(schema_);
     if (remaining_ <= 0) return false;  // never pulls the child again
     if (!child_->Next(&scratch_)) {
       remaining_ = 0;
@@ -655,14 +492,8 @@ class LimitOp : public OperatorBase {
     return true;
   }
 
-  std::string Describe(int indent) const override {
-    return Pad(indent) + "Limit " + std::to_string(n_) + "\n" +
-           child_->Describe(indent + 1);
-  }
-
  private:
   OpPtr child_;
-  int64_t n_;
   int64_t remaining_;
   Batch scratch_;
 };
@@ -671,7 +502,7 @@ class LimitOp : public OperatorBase {
 // Pipeline breakers. Each consumes its child via Drain(child, nullptr)
 // (no output-side stats: rows_output/batches describe the pipeline root).
 
-class SortOp : public OperatorBase {
+class SortOp : public Operator {
  public:
   SortOp(OpPtr child, SortSpec spec, opt::ExecStats* stats,
          int64_t batch_rows)
@@ -685,7 +516,7 @@ class SortOp : public OperatorBase {
   }
 
   bool Next(Batch* out) override {
-    PrepareBatch(out);
+    out->Prepare(schema_);
     if (!sorted_ready_) {
       Table in = Drain(child_.get(), nullptr);
       bool was_sorted = false;
@@ -702,11 +533,6 @@ class SortOp : public OperatorBase {
     return EmitTableSlice(sorted_, &pos_, batch_rows_, out);
   }
 
-  std::string Describe(int indent) const override {
-    return Pad(indent) + "Sort by " + SpecString(spec_) +
-           " (pipeline breaker)\n" + child_->Describe(indent + 1);
-  }
-
  private:
   OpPtr child_;
   SortSpec spec_;
@@ -717,7 +543,7 @@ class SortOp : public OperatorBase {
   int64_t pos_ = 0;
 };
 
-class TopKOp : public OperatorBase {
+class TopKOp : public Operator {
  public:
   TopKOp(OpPtr child, SortSpec spec, int64_t k, opt::ExecStats* stats)
       : child_(std::move(child)), spec_(std::move(spec)), k_(k),
@@ -728,7 +554,7 @@ class TopKOp : public OperatorBase {
   }
 
   bool Next(Batch* out) override {
-    PrepareBatch(out);
+    out->Prepare(schema_);
     if (!ready_) {
       Table in = Drain(child_.get(), nullptr);
       std::vector<int64_t> perm(in.num_rows());
@@ -749,11 +575,6 @@ class TopKOp : public OperatorBase {
     return EmitTableSlice(top_, &pos_, kDefaultBatchRows, out);
   }
 
-  std::string Describe(int indent) const override {
-    return Pad(indent) + "TopK " + std::to_string(k_) + " by " +
-           SpecString(spec_) + "\n" + child_->Describe(indent + 1);
-  }
-
  private:
   OpPtr child_;
   SortSpec spec_;
@@ -764,7 +585,7 @@ class TopKOp : public OperatorBase {
   int64_t pos_ = 0;
 };
 
-class HashAggregateOp : public OperatorBase {
+class HashAggregateOp : public Operator {
  public:
   HashAggregateOp(OpPtr child, std::vector<ColumnId> group_cols,
                   std::vector<AggSpec> aggs)
@@ -781,18 +602,13 @@ class HashAggregateOp : public OperatorBase {
   }
 
   bool Next(Batch* out) override {
-    PrepareBatch(out);
+    out->Prepare(schema_);
     if (!ready_) {
       Table in = Drain(child_.get(), nullptr);
       result_ = engine::HashGroupBy(in, group_cols_, aggs_);
       ready_ = true;
     }
     return EmitTableSlice(result_, &pos_, kDefaultBatchRows, out);
-  }
-
-  std::string Describe(int indent) const override {
-    return Pad(indent) + "HashAggregate groups=" + SpecString(group_cols_) +
-           " (pipeline breaker)\n" + child_->Describe(indent + 1);
   }
 
  private:
@@ -804,7 +620,7 @@ class HashAggregateOp : public OperatorBase {
   int64_t pos_ = 0;
 };
 
-class HashJoinOp : public OperatorBase {
+class HashJoinOp : public Operator {
  public:
   HashJoinOp(OpPtr left, ColumnId left_key, OpPtr right, ColumnId right_key,
              opt::ExecStats* stats, const std::string& right_prefix)
@@ -831,7 +647,7 @@ class HashJoinOp : public OperatorBase {
   }
 
   bool Next(Batch* out) override {
-    PrepareBatch(out);
+    out->Prepare(schema_);
     if (!built_) {
       build_ = Drain(right_.get(), nullptr);
       table_.reserve(build_.num_rows());
@@ -860,12 +676,6 @@ class HashJoinOp : public OperatorBase {
     return true;
   }
 
-  std::string Describe(int indent) const override {
-    return Pad(indent) + "HashJoin keys=(" + std::to_string(left_key_) +
-           ", " + std::to_string(right_key_) + ") (build right)\n" +
-           left_->Describe(indent + 1) + right_->Describe(indent + 1);
-  }
-
  private:
   OpPtr left_;
   OpPtr right_;
@@ -882,7 +692,7 @@ class HashJoinOp : public OperatorBase {
 // ---------------------------------------------------------------------------
 // Verification.
 
-class CheckOrderOp : public OperatorBase {
+class CheckOrderOp : public Operator {
  public:
   explicit CheckOrderOp(OpPtr child) : child_(std::move(child)) {
     schema_ = child_->schema();
@@ -909,11 +719,6 @@ class CheckOrderOp : public OperatorBase {
     return true;
   }
 
-  std::string Describe(int indent) const override {
-    return Pad(indent) + "CheckOrder " + SpecString(ordering_) + "\n" +
-           child_->Describe(indent + 1);
-  }
-
  private:
   OpPtr child_;
   Batch prev_;  // one row: the last row seen (straddles batch boundaries)
@@ -922,6 +727,60 @@ class CheckOrderOp : public OperatorBase {
 };
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Helpers shared with parallel.cc and external_sort.cc (op_util.h).
+
+std::string SpecString(const SortSpec& spec) {
+  std::string out = "[";
+  for (size_t i = 0; i < spec.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += std::to_string(spec[i]);
+  }
+  return out + "]";
+}
+
+bool IsPrefixOf(const SortSpec& spec, const SortSpec& ordering) {
+  if (spec.size() > ordering.size()) return false;
+  return std::equal(spec.begin(), spec.end(), ordering.begin());
+}
+
+Schema AggOutputSchema(const Schema& in, const std::vector<ColumnId>& groups,
+                       const std::vector<AggSpec>& aggs) {
+  Schema out;
+  for (ColumnId c : groups) out.Add(in.col(c).name, in.col(c).type);
+  for (const auto& a : aggs) {
+    out.Add(a.out_name, a.kind == AggSpec::Kind::kCount ? DataType::kInt64
+                                                        : DataType::kDouble);
+  }
+  return out;
+}
+
+Schema JoinSchema(const Schema& left, const Schema& right,
+                  const std::string& right_prefix) {
+  Schema out;
+  for (int c = 0; c < left.num_columns(); ++c) {
+    out.Add(left.col(c).name, left.col(c).type);
+  }
+  for (int c = 0; c < right.num_columns(); ++c) {
+    std::string name = right.col(c).name;
+    if (out.Find(name) >= 0) name = right_prefix + name;
+    out.Add(name, right.col(c).type);
+  }
+  return out;
+}
+
+bool EmitTableSlice(const Table& t, int64_t* pos, int64_t batch_rows,
+                    Batch* out) {
+  if (*pos >= t.num_rows()) return false;
+  const int64_t end = std::min(t.num_rows(), *pos + batch_rows);
+  for (int c = 0; c < t.num_columns(); ++c) {
+    out->col(c).AppendRange(t.col(c), *pos, end);
+  }
+  out->SetRowCount(end - *pos);
+  *pos = end;
+  return true;
+}
 
 // ---------------------------------------------------------------------------
 // Factories.
@@ -940,7 +799,13 @@ OpPtr ScanRange(const Table* table, int64_t row_begin, int64_t row_end,
 OpPtr IndexRangeScan(const engine::OrderedIndex* index,
                      std::optional<std::pair<int64_t, int64_t>> range,
                      opt::ExecStats* stats, int64_t batch_rows) {
-  return std::make_unique<IndexRangeScanOp>(index, range, stats, batch_rows);
+  int64_t begin = 0;
+  int64_t end = index->num_rows();
+  if (range.has_value()) {
+    std::tie(begin, end) = index->PositionRange(range->first, range->second);
+  }
+  return std::make_unique<IndexRangeScanOp>(index, begin, end, stats,
+                                            batch_rows);
 }
 
 OpPtr IndexPositionScan(const engine::OrderedIndex* index, int64_t pos_begin,

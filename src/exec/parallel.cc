@@ -1,6 +1,5 @@
 #include "exec/parallel.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -14,6 +13,7 @@
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "core/value.h"
+#include "exec/op_util.h"
 
 namespace od {
 namespace exec {
@@ -26,20 +26,6 @@ using engine::DataType;
 using engine::Schema;
 using engine::SortSpec;
 using engine::Table;
-
-std::string SpecStr(const SortSpec& spec) {
-  std::string out = "[";
-  for (size_t i = 0; i < spec.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += std::to_string(spec[i]);
-  }
-  return out + "]";
-}
-
-bool IsPrefixOf(const SortSpec& spec, const SortSpec& ordering) {
-  if (spec.size() > ordering.size()) return false;
-  return std::equal(spec.begin(), spec.end(), ordering.begin());
-}
 
 /// Per-fragment drain wall-clock, for spotting skewed morsels in a scrape.
 common::Histogram& FragmentDrainHistogram() {
@@ -190,10 +176,10 @@ class ExchangeOp : public Operator {
       throw std::invalid_argument("exec::Exchange: need >= 1 fragment");
     }
     frag_stats_.resize(num_fragments_);
-    // Fragment 0 is built eagerly: the Operator contract wants schema(),
-    // ordering(), and Describe() at construction. The rest are built
-    // lazily, inside their producer tasks, where ValidateFragment re-runs
-    // the same checks (surfaced through the task group at drain time).
+    // Fragment 0 is built eagerly: the Operator contract wants schema()
+    // and ordering() at construction. The rest are built lazily, inside
+    // their producer tasks, where ValidateFragment re-runs the same checks
+    // (surfaced through the task group at drain time).
     frag0_ = factory_(0, &frag_stats_[0]);
     ValidateFragment(0, frag0_.get());
     schema_ = frag0_->schema();
@@ -202,7 +188,6 @@ class ExchangeOp : public Operator {
     } else if (num_fragments_ == 1) {
       ordering_ = frag0_->ordering();
     }
-    describe_child_ = frag0_->Describe(0);
   }
 
   ~ExchangeOp() override {
@@ -219,38 +204,13 @@ class ExchangeOp : public Operator {
   }
 
   bool Next(Batch* out) override {
-    if (out->num_columns() == schema_.num_columns()) {
-      out->Clear();
-    } else {
-      out->Reset(schema_);
-    }
+    out->Prepare(schema_);
     if (finished_) return false;
     if (!started_) Start();
     const bool more =
         mode_ == MergeMode::kUnion ? NextUnion(out) : NextMerge(out);
     if (!more) Finish();  // rethrows the first producer error, if any
     return more;
-  }
-
-  std::string Describe(int indent) const override {
-    std::string out = Pad(indent) + "Exchange fragments=" +
-                      std::to_string(num_fragments_) + " streaming";
-    if (mode_ == MergeMode::kOrderedMerge) {
-      out += " ordered-merge " + SpecStr(merge_spec_) + " (OD-proven)";
-    } else {
-      out += " union";
-    }
-    out += "\n" + Pad(indent + 1) + "fragment template:\n";
-    std::string child = describe_child_;
-    std::string indented;
-    size_t start = 0;
-    while (start < child.size()) {
-      size_t nl = child.find('\n', start);
-      if (nl == std::string::npos) nl = child.size();
-      indented += Pad(indent + 2) + child.substr(start, nl - start) + "\n";
-      start = nl + 1;
-    }
-    return out + indented;
   }
 
  private:
@@ -291,9 +251,9 @@ class ExchangeOp : public Operator {
       // that cannot *claim* the merge order (planner-proven via
       // OrderReasoner) must not be merged order-preservingly.
       throw std::logic_error(
-          "exec::Exchange: ordered merge on " + SpecStr(merge_spec_) +
+          "exec::Exchange: ordered merge on " + SpecString(merge_spec_) +
           " but fragment " + std::to_string(i) + " only claims " +
-          SpecStr(frag->ordering()) + " — no OD proof, use kUnion + Sort");
+          SpecString(frag->ordering()) + " — no OD proof, use kUnion + Sort");
     }
   }
 
@@ -303,31 +263,22 @@ class ExchangeOp : public Operator {
     return frag;
   }
 
+  /// Submits one pump per fragment. On a null or one-thread pool the
+  /// TaskGroup runs each pump inline: it fills its queue and parks, and
+  /// the Pop that frees space resumes it on the consumer thread.
   void Start() {
     started_ = true;
-    parallel_ = pool_ != nullptr && pool_->num_threads() > 1;
     const int n = num_fragments_;
-    if (parallel_) {
-      producers_.resize(n);
-      for (int i = 0; i < n; ++i) {
-        queues_.push_back(std::make_unique<BatchQueue>(
-            kExchangeQueueBatches, 1, pool_, &resident_rows_, &peak_rows_,
-            [this, i] { group_->Submit([this, i] { RunProducer(i); }); }));
-      }
-      group_ = std::make_unique<common::TaskGroup>(pool_);
-      for (int i = 0; i < n; ++i) {
-        group_->Submit([this, i] { RunProducer(i); });
-      }
-    } else if (mode_ == MergeMode::kOrderedMerge) {
-      // Serial streaming merge: all fragment heads are needed at once, but
-      // only one batch per fragment is ever resident.
-      serial_frags_.resize(n);
-      for (int i = 0; i < n; ++i) {
-        serial_frags_[i] = TakeFragment(i);
-        serial_frags_[i]->StartConsume("exec::Exchange");
-      }
+    producers_.resize(n);
+    for (int i = 0; i < n; ++i) {
+      queues_.push_back(std::make_unique<BatchQueue>(
+          kExchangeQueueBatches, 1, pool_, &resident_rows_, &peak_rows_,
+          [this, i] { group_->Submit([this, i] { RunProducer(i); }); }));
     }
-    // Serial union builds fragments one at a time inside NextUnion.
+    group_ = std::make_unique<common::TaskGroup>(pool_);
+    for (int i = 0; i < n; ++i) {
+      group_->Submit([this, i] { RunProducer(i); });
+    }
     if (mode_ == MergeMode::kOrderedMerge) {
       cursors_.resize(n);
       for (int i = 0; i < n; ++i) {
@@ -381,36 +332,20 @@ class ExchangeOp : public Operator {
   bool Refill(int i) {
     Cursor& cur = cursors_[i];
     cur.pos = 0;
-    if (parallel_) return queues_[i]->Pop(&cur.batch);
-    return serial_frags_[i]->Next(&cur.batch);
+    return queues_[i]->Pop(&cur.batch);
   }
 
   bool NextUnion(Batch* out) {
-    if (parallel_) {
-      // Fragments are emitted in fragment order — for row-range morsels
-      // the concatenation IS the serial stream, so even an order-oblivious
-      // consumer (a Sort above, a hash build) sees deterministic input.
-      // Production still interleaves freely: later producers fill their
-      // bounded queues and park, which is what bounds memory.
-      while (union_cur_ < num_fragments_) {
-        Batch b;
-        if (queues_[union_cur_]->Pop(&b)) {
-          *out = std::move(b);
-          return true;
-        }
-        ++union_cur_;
-      }
-      return false;
+    // Fragments are emitted in fragment order — for row-range morsels the
+    // concatenation IS the serial stream, so even an order-oblivious
+    // consumer (a Sort above, a hash build) sees deterministic input.
+    // Production still interleaves freely: later producers fill their
+    // bounded queues and park, which is what bounds memory.
+    while (union_cur_ < num_fragments_) {
+      if (queues_[union_cur_]->Pop(out)) return true;
+      ++union_cur_;
     }
-    for (;;) {
-      if (serial_union_cur_ == nullptr) {
-        if (serial_union_next_ >= num_fragments_) return false;
-        serial_union_cur_ = TakeFragment(serial_union_next_++);
-        serial_union_cur_->StartConsume("exec::Exchange");
-      }
-      if (serial_union_cur_->Next(out)) return true;
-      serial_union_cur_.reset();
-    }
+    return false;
   }
 
   bool NextMerge(Batch* out) {
@@ -468,10 +403,8 @@ class ExchangeOp : public Operator {
   FragmentFactory factory_;
   std::vector<opt::ExecStats> frag_stats_;
   OpPtr frag0_;
-  std::string describe_child_;
 
   bool started_ = false;
-  bool parallel_ = false;
   bool finished_ = false;
   bool merged_ = false;
 
@@ -479,11 +412,8 @@ class ExchangeOp : public Operator {
   std::atomic<int64_t> peak_rows_{0};
   std::vector<std::unique_ptr<BatchQueue>> queues_;
   std::vector<Producer> producers_;  // pump state, parked fragments included
-  std::vector<OpPtr> serial_frags_;  // serial merge path
-  OpPtr serial_union_cur_;           // serial union path
-  int serial_union_next_ = 0;
-  int union_cur_ = 0;  // parallel union: queue being drained
-  std::vector<Cursor> cursors_;  // merge heads (queue or serial pulls)
+  int union_cur_ = 0;                // union: queue being drained
+  std::vector<Cursor> cursors_;      // merge: one head per fragment queue
   std::priority_queue<int, std::vector<int>, HeapCmp> heap_{HeapCmp{this}};
   // Declared last: producer tasks reference the members above, and the
   // destructor resets this (joining them) before anything else dies.
@@ -493,74 +423,16 @@ class ExchangeOp : public Operator {
 // ---------------------------------------------------------------------------
 // Partition-parallel aggregation.
 
-/// The engine's aggregate accumulator, restated: raw moments only, so
-/// partials from different workers merge exactly (avg = sum/count is
-/// finished after the merge, never merged itself).
-struct Acc {
-  int64_t count = 0;
-  double sum = 0;
-  double min = 0;
-  double max = 0;
-  bool has = false;
-
-  void Add(double v) {
-    ++count;
-    sum += v;
-    // CompareDoubles keeps min/max associative under NaN (NaN ties with
-    // NaN, orders after every value) — the exact property the fragment
-    // merge below needs to reproduce the serial stream's answer.
-    if (!has || CompareDoubles(v, min) < 0) min = v;
-    if (!has || CompareDoubles(v, max) > 0) max = v;
-    has = true;
-  }
-  void AddCountOnly() { ++count; }
-  void Merge(const Acc& o) {
-    count += o.count;
-    sum += o.sum;
-    if (o.has && (!has || CompareDoubles(o.min, min) < 0)) min = o.min;
-    if (o.has && (!has || CompareDoubles(o.max, max) > 0)) max = o.max;
-    has |= o.has;
-  }
-  double Result(AggSpec::Kind kind) const {
-    switch (kind) {
-      case AggSpec::Kind::kCount: return static_cast<double>(count);
-      case AggSpec::Kind::kSum: return sum;
-      case AggSpec::Kind::kMin: return min;
-      case AggSpec::Kind::kMax: return max;
-      case AggSpec::Kind::kAvg: return count == 0 ? 0 : sum / count;
-    }
-    return 0;
-  }
-};
-
-/// One worker's aggregation state: group-key string -> slot, plus the
-/// group's key values (for emitting) and one Acc per aggregate.
+/// One worker's aggregation state: group key (Column::AppendKey) -> slot,
+/// each slot's key in first-seen order (the map's keys, which stay put
+/// when it rehashes), the group's key values (for emitting) and one Acc
+/// per aggregate.
 struct LocalAgg {
   std::unordered_map<std::string, int64_t> slots;
+  std::vector<const std::string*> keys;
   std::vector<std::vector<Value>> group_vals;
   std::vector<std::vector<Acc>> accs;
 };
-
-std::string GroupKey(const Batch& b, int64_t row,
-                     const std::vector<ColumnId>& group_cols) {
-  std::string key;
-  for (ColumnId c : group_cols) {
-    key += b.col(c).Get(row).ToString();
-    key += '\x01';
-  }
-  return key;
-}
-
-Schema AggOutputSchema(const Schema& in, const std::vector<ColumnId>& groups,
-                       const std::vector<AggSpec>& aggs) {
-  Schema out;
-  for (ColumnId c : groups) out.Add(in.col(c).name, in.col(c).type);
-  for (const auto& a : aggs) {
-    out.Add(a.out_name, a.kind == AggSpec::Kind::kCount ? DataType::kInt64
-                                                        : DataType::kDouble);
-  }
-  return out;
-}
 
 class ParallelHashAggregateOp : public Operator {
  public:
@@ -603,40 +475,12 @@ class ParallelHashAggregateOp : public Operator {
     }
     schema_ = AggOutputSchema(in, group_cols_, aggs_);
     // ordering_ stays empty: hash aggregation has no output order.
-    describe_child_ = frag0_->Describe(0);
   }
 
   bool Next(Batch* out) override {
-    if (out->num_columns() == schema_.num_columns()) {
-      out->Clear();
-    } else {
-      out->Reset(schema_);
-    }
+    out->Prepare(schema_);
     if (!ready_) BuildAndMerge();
-    if (pos_ >= result_.num_rows()) return false;
-    const int64_t end = std::min(result_.num_rows(), pos_ + batch_rows_);
-    for (int c = 0; c < result_.num_columns(); ++c) {
-      out->col(c).AppendRange(result_.col(c), pos_, end);
-    }
-    out->SetRowCount(end - pos_);
-    pos_ = end;
-    return true;
-  }
-
-  std::string Describe(int indent) const override {
-    std::string out = Pad(indent) + "ParallelHashAggregate fragments=" +
-                      std::to_string(num_fragments_) + " groups=" +
-                      SpecStr(group_cols_) +
-                      " (thread-local build + merge)\n";
-    std::string child = describe_child_;
-    size_t start = 0;
-    while (start < child.size()) {
-      size_t nl = child.find('\n', start);
-      if (nl == std::string::npos) nl = child.size();
-      out += Pad(indent + 1) + child.substr(start, nl - start) + "\n";
-      start = nl + 1;
-    }
-    return out;
+    return EmitTableSlice(result_, &pos_, batch_rows_, out);
   }
 
  private:
@@ -657,12 +501,15 @@ class ParallelHashAggregateOp : public Operator {
       frag->StartConsume("exec::ParallelHashAggregate");
       LocalAgg& local = locals[i];
       Batch batch;
+      std::string key;
       while (frag->Next(&batch)) {
         for (int64_t r = 0; r < batch.num_rows(); ++r) {
-          std::string key = GroupKey(batch, r, group_cols_);
+          key.clear();
+          for (ColumnId c : group_cols_) batch.col(c).AppendKey(r, &key);
           auto [it, inserted] = local.slots.try_emplace(
-              std::move(key), static_cast<int64_t>(local.accs.size()));
+              key, static_cast<int64_t>(local.accs.size()));
           if (inserted) {
+            local.keys.push_back(&it->first);
             std::vector<Value> vals;
             vals.reserve(group_cols_.size());
             for (ColumnId c : group_cols_) {
@@ -689,12 +536,13 @@ class ParallelHashAggregateOp : public Operator {
       }
       group.Wait();  // rethrows the first fragment failure
     }
-    // Single-threaded merge, fragment order: deterministic group order.
+    // Single-threaded merge in fragment order, each fragment's groups in
+    // first-seen order: the serial first-seen group order.
     LocalAgg merged;
     for (LocalAgg& local : locals) {
-      for (auto& [key, slot] : local.slots) {
+      for (size_t slot = 0; slot < local.keys.size(); ++slot) {
         auto [it, inserted] = merged.slots.try_emplace(
-            key, static_cast<int64_t>(merged.accs.size()));
+            *local.keys[slot], static_cast<int64_t>(merged.accs.size()));
         if (inserted) {
           merged.group_vals.push_back(std::move(local.group_vals[slot]));
           merged.accs.push_back(std::move(local.accs[slot]));
@@ -743,7 +591,6 @@ class ParallelHashAggregateOp : public Operator {
   FragmentFactory factory_;
   std::vector<opt::ExecStats> frag_stats_;
   OpPtr frag0_;
-  std::string describe_child_;
   Table result_;
   bool ready_ = false;
   int64_t pos_ = 0;
@@ -790,7 +637,7 @@ class CombinePartialAggregatesOp : public Operator {
     if (covered < num_groups_) {
       throw std::logic_error(
           "exec::CombinePartialAggregates: child ordering " +
-          SpecStr(ord) + " does not make the " +
+          SpecString(ord) + " does not make the " +
           std::to_string(num_groups_) +
           " group columns contiguous — partial groups could reappear");
     }
@@ -800,11 +647,7 @@ class CombinePartialAggregatesOp : public Operator {
   }
 
   bool Next(Batch* out) override {
-    if (out->num_columns() == schema_.num_columns()) {
-      out->Clear();
-    } else {
-      out->Reset(schema_);
-    }
+    out->Prepare(schema_);
     while (out->empty()) {
       if (!child_->Next(&scratch_)) {
         if (have_pending_) {
@@ -827,19 +670,9 @@ class CombinePartialAggregatesOp : public Operator {
     return true;
   }
 
-  std::string Describe(int indent) const override {
-    return Pad(indent) + "CombinePartialAggregates groups=" +
-           std::to_string(num_groups_) + "\n" +
-           child_->Describe(indent + 1);
-  }
-
  private:
   void LoadPending(const Batch& b, int64_t r) {
-    if (pending_.num_columns() != schema_.num_columns()) {
-      pending_.Reset(schema_);
-    } else {
-      pending_.Clear();
-    }
+    pending_.Prepare(schema_);
     pending_.AppendRows(b, r, r + 1);
     accs_.assign(kinds_.size(), Acc());
     Fold(b, r);
@@ -908,20 +741,6 @@ class CombinePartialAggregatesOp : public Operator {
 // ---------------------------------------------------------------------------
 // Shared-build parallel hash join.
 
-Schema JoinSchema(const Schema& left, const Schema& right,
-                  const std::string& right_prefix) {
-  Schema out;
-  for (int c = 0; c < left.num_columns(); ++c) {
-    out.Add(left.col(c).name, left.col(c).type);
-  }
-  for (int c = 0; c < right.num_columns(); ++c) {
-    std::string name = right.col(c).name;
-    if (out.Find(name) >= 0) name = right_prefix + name;
-    out.Add(name, right.col(c).type);
-  }
-  return out;
-}
-
 class HashProbeOp : public Operator {
  public:
   HashProbeOp(OpPtr probe, ColumnId probe_key,
@@ -948,11 +767,7 @@ class HashProbeOp : public Operator {
   }
 
   bool Next(Batch* out) override {
-    if (out->num_columns() == schema_.num_columns()) {
-      out->Clear();
-    } else {
-      out->Reset(schema_);
-    }
+    out->Prepare(schema_);
     while (out->empty()) {
       if (!probe_->Next(&scratch_)) return false;
       for (int64_t l = 0; l < scratch_.num_rows(); ++l) {
@@ -972,12 +787,6 @@ class HashProbeOp : public Operator {
       }
     }
     return true;
-  }
-
-  std::string Describe(int indent) const override {
-    return Pad(indent) + "HashProbe key=" + std::to_string(probe_key_) +
-           " (shared build, " + std::to_string(table_->rows.num_rows()) +
-           " rows)\n" + probe_->Describe(indent + 1);
   }
 
  private:

@@ -67,14 +67,16 @@ enum class MergeMode {
 /// every producer (temp spill files clean up via their destructors); the
 /// first producer exception is rethrown on the consumer.
 ///
-/// `pool` may be null (or single-threaded): fragments then stream
-/// serially — union pulls them one at a time, merge holds one batch per
-/// fragment — with identical results. Producers never block: a pump whose
-/// queue is full parks (returns its thread to the scheduler) and resumes
-/// when the consumer frees space, so any fragment/worker ratio is safe.
-/// Fragments may themselves contain exchanges: producers are stealable
-/// tasks and the consumer helps run queued tasks while it waits, so
-/// nested parallel regions cannot deadlock.
+/// Producers never block: a pump whose queue is full parks (returns its
+/// thread to the scheduler) and resumes when the consumer frees space, so
+/// any fragment/worker ratio is safe. `pool` may be null (or
+/// single-threaded): TaskGroup then runs the same pumps inline, each
+/// filling its queue before it parks and resuming inside the consumer's
+/// Pop, so the exchange still holds up to fragments ×
+/// kExchangeQueueBatches batches and returns the same rows. Fragments may
+/// themselves contain exchanges: producers are stealable tasks and the
+/// consumer helps run queued tasks while it waits, so nested parallel
+/// regions cannot deadlock.
 OpPtr Exchange(int num_fragments, FragmentFactory factory, MergeMode mode,
                engine::SortSpec merge_spec, common::ThreadPool* pool,
                opt::ExecStats* stats = nullptr,

@@ -212,11 +212,7 @@ bool RunReader::NextChunk(Batch* out) {
     done_ = true;  // clean end of run
     return false;
   }
-  if (out->num_columns() == schema_.num_columns()) {
-    out->Clear();
-  } else {
-    out->Reset(schema_);
-  }
+  out->Prepare(schema_);
   for (int c = 0; c < schema_.num_columns(); ++c) {
     ReadColumnChunk(in_, &out->col(c), rows);
   }

@@ -735,8 +735,8 @@ class Planner {
 // an order-preserving merge when it carries an ordering property
 // (parallelism must never reintroduce a sort the OD reasoning elided), a
 // fragment-ordered union otherwise. Producers are scheduler tasks, so
-// multiple (and, past depth 1, nested) exchanges per plan compose without
-// reserving threads per region.
+// multiple exchanges per plan compose without reserving threads per
+// region.
 
 /// A chain a worker can run privately over its morsel: scans at the leaf,
 /// filters/projections, and hash-join *probes* (the build side is shared
@@ -810,20 +810,12 @@ bool TryExchangeChain(std::unique_ptr<PhysicalNode>* slot, int dop,
   return true;
 }
 
-bool ParallelizeNode(std::unique_ptr<PhysicalNode>* slot, int dop,
-                     const CostModel& cm, std::vector<std::string>* proofs,
-                     int depth_budget);
-
 /// Walks every node of the tree and applies each profitable parallel
 /// rewrite it finds — several exchanges per plan when several regions pay
 /// for themselves, each individually cost-gated and each recording its own
-/// merge proof. `depth_budget` >= 2 additionally nests an inner exchange
-/// inside the partial-aggregation fragment template (the scheduler runs
-/// producers as stealable tasks, so nested regions cannot starve). Returns
-/// whether the tree changed.
+/// merge proof. Returns whether the tree changed.
 bool ParallelizeNode(std::unique_ptr<PhysicalNode>* slot, int dop,
-                     const CostModel& cm, std::vector<std::string>* proofs,
-                     int depth_budget) {
+                     const CostModel& cm, std::vector<std::string>* proofs) {
   PhysicalNode* n = slot->get();
   if (IsChainSafe(*n)) {
     bool changed = TryExchangeChain(slot, dop, cm, proofs);
@@ -836,8 +828,7 @@ bool ParallelizeNode(std::unique_ptr<PhysicalNode>* slot, int dop,
     if (walk->kind == Kind::kExchange) walk = walk->children[0].get();
     for (; !walk->children.empty(); walk = walk->children[0].get()) {
       if (walk->kind == Kind::kHashJoin) {
-        changed |= ParallelizeNode(&walk->children[1], dop, cm, proofs,
-                                   depth_budget);
+        changed |= ParallelizeNode(&walk->children[1], dop, cm, proofs);
       }
     }
     return changed;
@@ -849,8 +840,7 @@ bool ParallelizeNode(std::unique_ptr<PhysicalNode>* slot, int dop,
       return false;  // already parallel
     case Kind::kHashAgg: {
       if (!IsChainSafe(*n->children[0])) {
-        return ParallelizeNode(&n->children[0], dop, cm, proofs,
-                               depth_budget);
+        return ParallelizeNode(&n->children[0], dop, cm, proofs);
       }
       const double chain_cost = n->children[0]->est_cost;
       const double agg_work = n->est_cost - chain_cost;
@@ -860,8 +850,7 @@ bool ParallelizeNode(std::unique_ptr<PhysicalNode>* slot, int dop,
       if (par >= n->est_cost) {
         // The parallel aggregate doesn't pay; the chain below might still
         // (a serial hash build over a union-exchanged chain is valid).
-        return ParallelizeNode(&n->children[0], dop, cm, proofs,
-                               depth_budget);
+        return ParallelizeNode(&n->children[0], dop, cm, proofs);
       }
       n->kind = Kind::kParallelHashAgg;
       n->dop = dop;
@@ -873,8 +862,7 @@ bool ParallelizeNode(std::unique_ptr<PhysicalNode>* slot, int dop,
     case Kind::kStreamAgg: {
       PhysicalNode* chain = n->children[0].get();
       if (!IsChainSafe(*chain)) {
-        return ParallelizeNode(&n->children[0], dop, cm, proofs,
-                               depth_budget);
+        return ParallelizeNode(&n->children[0], dop, cm, proofs);
       }
       if (chain->out_ordering.empty()) {
         // An ordered merge has nothing to merge on, and without the order
@@ -908,37 +896,23 @@ bool ParallelizeNode(std::unique_ptr<PhysicalNode>* slot, int dop,
           // The partial-agg rewrite doesn't pay; an exchange below the
           // serial aggregate might (its ordered merge restores the exact
           // serial stream, so contiguity holds above it).
-          return ParallelizeNode(&slot->get()->children[0], dop, cm, proofs,
-                                 depth_budget);
+          return ParallelizeNode(&slot->get()->children[0], dop, cm, proofs);
         }
         combine->children.push_back(std::move(x));
         *slot = std::move(combine);
-        if (depth_budget >= 2) {
-          // Nest: subdivide each fragment's morsel behind an inner
-          // exchange inside the template — same cost gate, own proof. The
-          // inner merge is ordered (the chain carries the order property
-          // checked above), so each fragment's StreamAggregate still sees
-          // its sub-stream in proven order.
-          PhysicalNode* outer = slot->get()->children[0].get();
-          PhysicalNode* agg = outer->children[0].get();
-          if (TryExchangeChain(&agg->children[0], dop, cm, proofs)) {
-            agg->children[0]->note +=
-                " (nested: subdivides each outer fragment's morsel)";
-          }
-        }
         return true;
       }
       // Non-decomposable (avg) or partial group order: parallelize the
       // chain below instead — the ordered merge restores the exact serial
       // stream, so the contiguity proof still holds above it.
-      return ParallelizeNode(&n->children[0], dop, cm, proofs, depth_budget);
+      return ParallelizeNode(&n->children[0], dop, cm, proofs);
     }
     default: {
       // Recurse into every child: sort inputs, limit/top-k inputs, and
       // both sides of joins can each host their own exchange.
       bool changed = false;
       for (auto& child : n->children) {
-        changed |= ParallelizeNode(&child, dop, cm, proofs, depth_budget);
+        changed |= ParallelizeNode(&child, dop, cm, proofs);
       }
       return changed;
     }
@@ -973,9 +947,6 @@ class CountingOp : public exec::Operator {
     node_->actual_rows += out->num_rows();
     return true;
   }
-  std::string Describe(int indent) const override {
-    return child_->Describe(indent);
-  }
 
  private:
   exec::OpPtr child_;
@@ -989,14 +960,6 @@ exec::OpPtr CompileNode(const PhysicalNode& n,
 /// The driving scan at the bottom of a fragment template.
 const PhysicalNode& ChainLeaf(const PhysicalNode& n) {
   return n.children.empty() ? n : ChainLeaf(*n.children[0]);
-}
-
-/// Hash joins on the template's driving spine — how many shared-table
-/// slots a fragment compiled from it consumes (BuildSharedTables pushes
-/// them in the same pre-order).
-int CountChainJoins(const PhysicalNode& n) {
-  const int self = n.kind == Kind::kHashJoin ? 1 : 0;
-  return n.children.empty() ? self : self + CountChainJoins(*n.children[0]);
 }
 
 /// Splits [0, total) into `dop` contiguous near-equal ranges. Fragments
@@ -1089,36 +1052,6 @@ exec::OpPtr CompileFragment(
           CompileFragment(*n.children[0], tables, stats, opts, morsel,
                           shared, shared_idx),
           n.group_cols, n.aggs);
-    case Kind::kExchange: {
-      // A nested exchange: subdivide this fragment's morsel again and
-      // stream the inner chain behind its own exchange. Producers are
-      // plain scheduler tasks, so the regions compose without reserving
-      // threads. The inner factory runs from inner producer tasks after
-      // this frame is gone: it owns its sub-ranges and shared-table
-      // handles, and points only at plan-owned state (template, tables,
-      // options) plus the outer factory's shared vector via its own copy.
-      const PhysicalNode& tmpl = *n.children[0];
-      auto sub = SplitRange(morsel.second - morsel.first, n.dop);
-      for (auto& r : sub) {
-        r.first += morsel.first;
-        r.second += morsel.first;
-      }
-      const size_t base = *shared_idx;
-      exec::FragmentFactory factory =
-          [&tmpl, &tables, &opts, base, sub = std::move(sub),
-           shared](int f, ExecStats* fs) {
-            size_t idx = base;
-            return CompileFragment(tmpl, tables, fs, opts, sub[f], shared,
-                                   &idx);
-          };
-      // Skip the joins the inner fragments consume, so a (hypothetical)
-      // consumer past this node keeps the pre-order numbering.
-      *shared_idx = base + CountChainJoins(tmpl);
-      return exec::Exchange(n.dop, std::move(factory),
-                            n.ordered_merge ? exec::MergeMode::kOrderedMerge
-                                            : exec::MergeMode::kUnion,
-                            n.spec, opts.pool, stats, opts.batch_rows);
-    }
     default:
       throw std::logic_error("CompileFragment: node is not fragment-safe");
   }
@@ -1434,8 +1367,7 @@ PhysicalPlan PlanQuery(const LogicalQuery& q, const CostModel& cost,
   Planner planner(q, cost);
   Cand winner = planner.Plan();
   if (options.dop > 1) {
-    ParallelizeNode(&winner.node, options.dop, cost, &winner.proofs,
-                    std::max(1, options.max_exchange_depth));
+    ParallelizeNode(&winner.node, options.dop, cost, &winner.proofs);
   }
   PhysicalPlan plan;
   plan.root_ = std::move(winner.node);

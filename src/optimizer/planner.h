@@ -61,17 +61,13 @@ struct PlanOptions {
   /// records the dop it was built for; Compile/Execute then need `pool`.
   int dop = 1;
   /// Pool the exchanges stream fragments on at execution time (and the
-  /// external sort prepares runs on). Null with dop > 1 runs fragments
-  /// serially (same results, no speedup) — handy in tests. Exchanges are
-  /// placed wherever profitable — several per plan, nested up to
-  /// `max_exchange_depth` — since producers are work-stealing scheduler
-  /// tasks, not reserved threads.
+  /// external sort prepares runs on). Exchanges are placed wherever
+  /// profitable — several per plan — since producers are work-stealing
+  /// scheduler tasks, not reserved threads. Null (or a one-thread pool)
+  /// with dop > 1 runs the same producer pumps inline on the consumer
+  /// thread: same results, no speedup, and each exchange holds up to
+  /// fragments × exec::kExchangeQueueBatches batches — handy in tests.
   common::ThreadPool* pool = nullptr;
-  /// How deep parallel regions may nest: 1 (default) places only flat
-  /// exchanges; >= 2 lets the partial-aggregation rewrite subdivide each
-  /// fragment's morsel behind an inner exchange of its own (each level
-  /// still cost-gated, each recording its own merge proof).
-  int max_exchange_depth = 1;
   /// When >= 0, every Sort enforcer compiles to an ExternalSort that holds
   /// at most this many rows in memory before spilling a sorted run to
   /// disk. < 0 = in-memory sorts (the default).

@@ -1,6 +1,7 @@
 // Streaming-operator contracts: batch boundaries, ordering-property
 // propagation, the StreamAggregate contiguity precondition, NaN-bearing
-// double keys (must agree with od::CompareDoubles), and early exit.
+// double keys (must agree with od::CompareDoubles), hash and stream
+// aggregates forming the same groups, and early exit.
 
 #include <gtest/gtest.h>
 
@@ -11,12 +12,14 @@
 #include "engine/ops.h"
 #include "engine/partition.h"
 #include "exec/operator.h"
+#include "exec/parallel.h"
 
 namespace od {
 namespace exec {
 namespace {
 
 using engine::AggSpec;
+using engine::ColumnId;
 using engine::DataType;
 using engine::Predicate;
 using engine::Schema;
@@ -309,6 +312,64 @@ TEST(HashAggregateTest, MatchesEngineHashGroupBy) {
       engine::SameRowMultiset(engine::HashGroupBy(t, {0}, aggs), streamed));
 }
 
+// The hash aggregates (engine::HashGroupBy, exec::HashAggregate,
+// exec::ParallelHashAggregate inline and on a pool) must form exactly the
+// groups the stream aggregates form by Column::Compare. `unsorted` is
+// sorted by `group_cols` first, so every aggregate sees contiguous groups
+// and emits them in the same order.
+void ExpectHashGroupsMatchStreamGroups(const Table& unsorted,
+                                       const std::vector<ColumnId>& group_cols,
+                                       int64_t want_groups) {
+  const Table t = engine::SortBy(unsorted, group_cols);
+  const std::vector<AggSpec> aggs{{AggSpec::Kind::kCount, 0, "n"}};
+  const Table want = engine::StreamGroupBy(t, group_cols, aggs);
+  ASSERT_EQ(want.num_rows(), want_groups);
+  OpPtr stream = StreamAggregate(Scan(&t), group_cols, aggs);
+  EXPECT_TRUE(TablesEqualExactly(want, Drain(stream.get())));
+  EXPECT_TRUE(
+      TablesEqualExactly(want, engine::HashGroupBy(t, group_cols, aggs)));
+  OpPtr hash = HashAggregate(Scan(&t), group_cols, aggs);
+  EXPECT_TRUE(TablesEqualExactly(want, Drain(hash.get())));
+  common::ThreadPool pool(2);
+  for (common::ThreadPool* p :
+       {static_cast<common::ThreadPool*>(nullptr), &pool}) {
+    OpPtr par = ParallelHashAggregate(
+        3,
+        [&t](int f, opt::ExecStats* fs) {
+          return ScanRange(&t, 2 * f, 2 * f + 2, fs, /*batch_rows=*/1);
+        },
+        group_cols, aggs, p);
+    EXPECT_TRUE(TablesEqualExactly(want, Drain(par.get())));
+  }
+}
+
+TEST(HashAggregateTest, DoubleKeysGroupLikeCompareDoubles) {
+  // -0.0 and +0.0 are one group, every NaN is one group, and doubles that
+  // print alike under %g stay apart: 4 groups.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Schema s;
+  s.Add("d", DataType::kDouble);
+  Table t(s);
+  for (double d : {nan, 1.0000002, -0.0, -nan, 0.0, 1.0000001}) {
+    t.AppendRow({Value(d)});
+  }
+  ExpectHashGroupsMatchStreamGroups(t, {0}, 4);
+}
+
+TEST(HashAggregateTest, StringKeysDoNotRunTogether) {
+  // ("x\x01y", "z") and ("x", "y\x01z") are different groups even though
+  // their columns joined by a separator byte read alike.
+  Schema s;
+  s.Add("a", DataType::kString);
+  s.Add("b", DataType::kString);
+  Table t(s);
+  for (int i = 0; i < 3; ++i) {
+    t.AppendRow({Value("x\x01y"), Value("z")});
+    t.AppendRow({Value("x"), Value("y\x01z")});
+  }
+  ExpectHashGroupsMatchStreamGroups(t, {0, 1}, 2);
+}
+
 TEST(HashJoinTest, StreamingProbeMatchesEngineAndPreservesOrder) {
   Table fact = engine::SortBy(MakeKv(2000, 50), {0});
   Schema ds;
@@ -409,9 +470,6 @@ class LyingOp : public Operator {
     ordering_ = std::move(claim);
   }
   bool Next(Batch* out) override { return child_->Next(out); }
-  std::string Describe(int indent) const override {
-    return Pad(indent) + "Lying\n" + child_->Describe(indent + 1);
-  }
 
  private:
   OpPtr child_;

@@ -127,6 +127,29 @@ void SweepAgainstSerial(const LogicalQuery& q, common::ThreadPool* pool) {
   CostModel cm;
   cm.fragment_startup = 0.0;
 
+  auto check = [&](const PlanOptions& opts) {
+    PhysicalPlan plan = PlanQuery(q, cm, opts);
+    // Parallelism must not reintroduce an elided sort: if the serial
+    // OD-aware plan is Sort-free, so is every parallel variant.
+    if (!serial_has_sort) {
+      EXPECT_FALSE(ExplainMentions(plan, "Sort"))
+          << "parallel plan reintroduced a sort:\n" << plan.Explain();
+    }
+    // And the parallel plan claims exactly the serial ordering.
+    EXPECT_EQ(plan.root().out_ordering, serial_order);
+
+    ExecStats stats;
+    Table out = RunChecked(plan, &stats);
+    if (!serial_has_sort) {
+      EXPECT_EQ(stats.sorts, 0);
+    }
+    if (serial_order.empty()) {
+      EXPECT_TRUE(RowsIdentical(ref_canonical, Canonical(out)));
+    } else {
+      EXPECT_TRUE(RowsIdentical(ref, out));
+    }
+  };
+
   for (int dop : {1, 2, 4, 8}) {
     for (int64_t batch : {int64_t{1}, int64_t{3}, int64_t{4096}}) {
       for (int64_t budget : {int64_t{-1}, int64_t{256}}) {
@@ -138,53 +161,27 @@ void SweepAgainstSerial(const LogicalQuery& q, common::ThreadPool* pool) {
         opts.pool = pool;
         opts.spill_budget_rows = budget;
         opts.batch_rows = batch;
-        PhysicalPlan plan = PlanQuery(q, cm, opts);
-
-        // Parallelism must not reintroduce an elided sort: if the serial
-        // OD-aware plan is Sort-free, so is every parallel variant.
-        if (!serial_has_sort) {
-          EXPECT_FALSE(ExplainMentions(plan, "Sort"))
-              << "parallel plan reintroduced a sort:\n" << plan.Explain();
-        }
-        // And the parallel plan claims exactly the serial ordering.
-        EXPECT_EQ(plan.root().out_ordering, serial_order);
-
-        ExecStats stats;
-        Table out = RunChecked(plan, &stats);
-        if (!serial_has_sort) EXPECT_EQ(stats.sorts, 0);
-        if (serial_order.empty()) {
-          EXPECT_TRUE(RowsIdentical(ref_canonical, Canonical(out)));
-        } else {
-          EXPECT_TRUE(RowsIdentical(ref, out));
-        }
+        check(opts);
       }
     }
   }
 
-  // The nested arm: depth-2 exchanges (the partial-aggregation template
-  // subdivides each fragment's morsel behind an inner exchange) must be
-  // just as bit-identical — and just as sort-free — as the flat plans.
-  for (int64_t batch : {int64_t{3}, int64_t{4096}}) {
-    SCOPED_TRACE(q.name + " nested dop=4 depth=2 batch=" +
-                 std::to_string(batch));
-    PlanOptions opts;
-    opts.dop = 4;
-    opts.pool = pool;
-    opts.batch_rows = batch;
-    opts.max_exchange_depth = 2;
-    PhysicalPlan plan = PlanQuery(q, cm, opts);
-    if (!serial_has_sort) {
-      EXPECT_FALSE(ExplainMentions(plan, "Sort"))
-          << "nested plan reintroduced a sort:\n" << plan.Explain();
-    }
-    EXPECT_EQ(plan.root().out_ordering, serial_order);
-    ExecStats stats;
-    Table out = RunChecked(plan, &stats);
-    if (!serial_has_sort) EXPECT_EQ(stats.sorts, 0);
-    if (serial_order.empty()) {
-      EXPECT_TRUE(RowsIdentical(ref_canonical, Canonical(out)));
-    } else {
-      EXPECT_TRUE(RowsIdentical(ref, out));
+  // The inline arm: on a null or one-thread pool the exchanges run the
+  // same producer pumps inline on the consumer thread (each fills its
+  // queue and parks; the consumer's Pop resumes it), and must be just as
+  // row-identical — and just as sort-free — as the threaded plans.
+  common::ThreadPool one_thread(1);
+  for (common::ThreadPool* inline_pool :
+       {static_cast<common::ThreadPool*>(nullptr), &one_thread}) {
+    for (int64_t batch : {int64_t{3}, int64_t{4096}}) {
+      SCOPED_TRACE(q.name + " inline dop=4 pool=" +
+                   (inline_pool == nullptr ? "null" : "1 thread") +
+                   " batch=" + std::to_string(batch));
+      PlanOptions opts;
+      opts.dop = 4;
+      opts.pool = inline_pool;
+      opts.batch_rows = batch;
+      check(opts);
     }
   }
 }
@@ -263,44 +260,6 @@ TEST_F(WarehouseDifferentialTest, DailySalesParallelPlanUsesAnExchange) {
     }
   }
   EXPECT_TRUE(has_merge_proof) << "no order-preserving-merge proof recorded";
-}
-
-TEST_F(WarehouseDifferentialTest, DepthTwoPlanShowsTwoProvenExchanges) {
-  // Parallel scan + parallel aggregate in one plan: at depth 2 the
-  // partial-aggregation template subdivides each fragment's morsel behind
-  // an inner exchange, so EXPLAIN carries two exchanges — and the proofs
-  // carry one order-preserving-merge argument per exchange.
-  LogicalQuery q = warehouse::DailySalesQuery(
-      &fact_, &dim_, index_.get(), parts_.get(), dim_ods_, kStartYear + 1);
-  CostModel cm;
-  cm.fragment_startup = 0.0;
-  PlanOptions opts;
-  opts.dop = 4;
-  opts.pool = pool_.get();
-  opts.max_exchange_depth = 2;
-  PhysicalPlan plan = PlanQuery(q, cm, opts);
-  const std::string explain = plan.Explain();
-  int exchanges = 0;
-  for (size_t pos = explain.find("Exchange"); pos != std::string::npos;
-       pos = explain.find("Exchange", pos + 1)) {
-    ++exchanges;
-  }
-  EXPECT_GE(exchanges, 2) << explain;
-  EXPECT_NE(explain.find("nested"), std::string::npos) << explain;
-  EXPECT_FALSE(ExplainMentions(plan, "Sort")) << explain;
-  int merge_proofs = 0;
-  for (const auto& p : plan.proofs()) {
-    if (p.find("k-way merge") != std::string::npos) ++merge_proofs;
-  }
-  EXPECT_GE(merge_proofs, 2) << "each exchange must record its own proof";
-
-  // And the nested plan still reproduces the serial result exactly.
-  PhysicalPlan serial = PlanQuery(q);
-  ExecStats ref_stats, stats;
-  Table ref = serial.Execute(&ref_stats);
-  Table out = RunChecked(plan, &stats);
-  EXPECT_EQ(stats.sorts, 0);
-  EXPECT_TRUE(RowsIdentical(ref, out));
 }
 
 TEST_F(WarehouseDifferentialTest, TaxOrderByOrderedMergeReproducesSerial) {

@@ -88,9 +88,6 @@ class ThrowAfter : public Operator {
     if (remaining_-- <= 0) throw std::runtime_error("injected failure");
     return child_->Next(out);
   }
-  std::string Describe(int indent) const override {
-    return Pad(indent) + "ThrowAfter\n" + child_->Describe(indent + 1);
-  }
 
  private:
   OpPtr child_;
