@@ -2,7 +2,7 @@
 #define OD_EXEC_OP_UTIL_H_
 
 // Helpers shared by the exec operator implementations (operators.cc,
-// parallel.cc, external_sort.cc); not part of the exec API. engine/ops.cc
+// parallel.cc, sort.cc); not part of the exec API. engine/ops.cc
 // keeps its own copies on purpose: the tests use engine:: as an
 // independent reference for exec::.
 
@@ -58,6 +58,13 @@ struct Acc {
     return 0;
   }
 };
+
+/// Same contract as the engine operators: ColumnId arguments are validated
+/// once at operator construction (catching Schema::Find's -1), per-row
+/// accessors stay unchecked. Throws std::out_of_range naming `op`.
+void CheckColumn(const engine::Schema& s, engine::ColumnId c, const char* op);
+void CheckColumns(const engine::Schema& s,
+                  const std::vector<engine::ColumnId>& cols, const char* op);
 
 /// Renders a sort spec or column list as "[a, b, c]" (error messages).
 std::string SpecString(const engine::SortSpec& spec);

@@ -137,8 +137,10 @@ OpPtr Project(OpPtr child, std::vector<engine::ColumnId> cols);
 /// equal keys, i.e. a group reappearing later produces a duplicate output
 /// row. Output schema: group columns, then one column per aggregate; output
 /// ordering: the prefix of the child's ordering covered by group columns.
+/// Each output batch fills to `batch_rows` groups; only the last is short.
 OpPtr StreamAggregate(OpPtr child, std::vector<engine::ColumnId> group_cols,
-                      std::vector<engine::AggSpec> aggs);
+                      std::vector<engine::AggSpec> aggs,
+                      int64_t batch_rows = kDefaultBatchRows);
 
 /// Streaming DISTINCT — StreamAggregate with no aggregates; same
 /// contiguity precondition and run-per-group behavior on violation.
@@ -151,8 +153,11 @@ OpPtr StreamDistinct(OpPtr child, std::vector<engine::ColumnId> cols);
 /// planner either proves this from ordering properties or places Sort
 /// enforcers. Output: left columns then right columns (colliding right
 /// names prefixed by `right_prefix`); preserves the left child's ordering.
+/// Emits at most `batch_rows` rows per batch, pausing inside an equal-key
+/// run when the batch fills.
 OpPtr MergeJoin(OpPtr left, engine::ColumnId left_key, OpPtr right,
                 engine::ColumnId right_key, opt::ExecStats* stats = nullptr,
+                int64_t batch_rows = kDefaultBatchRows,
                 const std::string& right_prefix = "r_");
 
 /// Emits the first `n` rows, then stops pulling from the child (early
@@ -160,25 +165,14 @@ OpPtr MergeJoin(OpPtr left, engine::ColumnId left_key, OpPtr right,
 OpPtr Limit(OpPtr child, int64_t n);
 
 // ---------------------------------------------------------------------------
-// Pipeline breakers (consume the whole child before emitting).
+// Pipeline breakers (consume the whole child before emitting). Each
+// enforcer has one operator class at every dop: the serial factories below
+// and the exchange-side ones in parallel.h build the same operators.
 
-/// ORDER BY enforcer. Consumes the child, sorts, streams the result out;
-/// counts stats->sorts — or stats->sorts_elided when the input turned out
-/// to be physically sorted already (engine::SortBy's short-circuit).
-OpPtr Sort(OpPtr child, engine::SortSpec spec,
-           opt::ExecStats* stats = nullptr,
-           int64_t batch_rows = kDefaultBatchRows);
-
-/// ORDER BY + LIMIT k enforcer: keeps only the k smallest rows under
-/// `spec` (O(n log k) selection instead of a full sort), emits them sorted.
-OpPtr TopK(OpPtr child, engine::SortSpec spec, int64_t k,
-           opt::ExecStats* stats = nullptr);
-
-/// Knobs of the out-of-core sort enforcer.
+/// Knobs of the sort enforcer. The default never spills.
 struct SortOptions {
   /// Rows the sort may hold in memory before a run is cut and spilled to
-  /// disk; < 0 never spills (behaves like the in-memory Sort, still with
-  /// run elision).
+  /// disk; < 0 never spills (the input sorts as one in-memory run).
   int64_t memory_budget_rows = -1;
   /// Directory for spilled runs; empty = the system temp directory. Runs
   /// are removed when the operator is destroyed — on success, on a
@@ -195,28 +189,42 @@ struct SortOptions {
   common::ThreadPool* pool = nullptr;
 };
 
-/// External ORDER BY enforcer: accumulates input into memory-bounded runs,
-/// spills sorted runs to disk past the budget, and streams a k-way merge of
-/// the runs. Order reasoning shows up twice:
+/// ORDER BY enforcer: accumulates input into memory-bounded runs, spills
+/// sorted runs to disk past the budget, and streams a k-way merge of the
+/// runs (a single in-memory run is emitted directly). Order reasoning shows
+/// up twice:
 ///  * full elision — if the child's declared ordering property literally
 ///    covers `spec` (spec is a prefix of it), the input is streamed through
 ///    untouched: no buffering, no runs, no spill (stats->sorts_elided);
 ///  * run elision — a run that arrives physically sorted (IsSortedBy —
 ///    e.g. morsels of an OD-proven ordered scan) skips its sort; the merge
-///    still runs. stats->sorts counts 1 iff any run was actually sorted.
+///    still runs. stats->sorts counts 1 iff any run was actually sorted,
+///    stats->sorts_elided 1 otherwise.
 /// stats->spills / spilled_rows count runs written to disk.
-OpPtr ExternalSort(OpPtr child, engine::SortSpec spec, SortOptions options,
-                   opt::ExecStats* stats = nullptr,
-                   int64_t batch_rows = kDefaultBatchRows);
+OpPtr Sort(OpPtr child, engine::SortSpec spec, SortOptions options = {},
+           opt::ExecStats* stats = nullptr,
+           int64_t batch_rows = kDefaultBatchRows);
 
-/// Hash GROUP BY: no ordering requirement, no output ordering.
+/// ORDER BY + LIMIT k enforcer: keeps only the k smallest rows under
+/// `spec` (O(n log k) selection instead of a full sort), emits them sorted.
+OpPtr TopK(OpPtr child, engine::SortSpec spec, int64_t k,
+           opt::ExecStats* stats = nullptr,
+           int64_t batch_rows = kDefaultBatchRows);
+
+/// Hash GROUP BY: streams the child into a hash of raw accumulators
+/// (count/sum/min/max), emits the groups in first-seen order. No ordering
+/// requirement, no output ordering. The one-fragment form of
+/// ParallelHashAggregate, run on the caller's thread.
 OpPtr HashAggregate(OpPtr child, std::vector<engine::ColumnId> group_cols,
-                    std::vector<engine::AggSpec> aggs);
+                    std::vector<engine::AggSpec> aggs,
+                    int64_t batch_rows = kDefaultBatchRows);
 
-/// Hash join: materializes and hashes the right (build) child, then
-/// streams the left (probe) child batch-at-a-time — only the build side
-/// breaks the pipeline. Int64 keys (the star-schema surrogate keys).
-/// Preserves the left child's ordering.
+/// Hash join: on the first Next, drains the right (build) child into a
+/// hash table, then streams the left (probe) child batch-at-a-time — only
+/// the build side breaks the pipeline. Int64 keys (the star-schema
+/// surrogate keys). Preserves the left child's ordering. The serial form
+/// of HashProbe: the same operator, with the table built by the join
+/// itself rather than shared by exchange fragments.
 OpPtr HashJoin(OpPtr left, engine::ColumnId left_key, OpPtr right,
                engine::ColumnId right_key, opt::ExecStats* stats = nullptr,
                const std::string& right_prefix = "r_");

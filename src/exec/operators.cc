@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "exec/op_util.h"
 
@@ -19,22 +18,6 @@ using engine::Predicate;
 using engine::Schema;
 using engine::SortSpec;
 using engine::Table;
-
-/// Same contract as the engine operators: ColumnId arguments are validated
-/// once at operator construction (catching Schema::Find's -1), per-row
-/// accessors stay unchecked.
-void CheckColumn(const Schema& s, ColumnId c, const char* op) {
-  if (c < 0 || c >= s.num_columns()) {
-    throw std::out_of_range(std::string(op) + ": column id " +
-                            std::to_string(c) + " out of range [0, " +
-                            std::to_string(s.num_columns()) + ")");
-  }
-}
-
-void CheckColumns(const Schema& s, const std::vector<ColumnId>& cols,
-                  const char* op) {
-  for (ColumnId c : cols) CheckColumn(s, c, op);
-}
 
 bool MatchesBatch(const Predicate& p, const Batch& b, int64_t row) {
   const Value v = b.col(p.col).Get(row);
@@ -271,10 +254,11 @@ class ProjectOp : public Operator {
 class StreamAggregateOp : public Operator {
  public:
   StreamAggregateOp(OpPtr child, std::vector<ColumnId> group_cols,
-                    std::vector<AggSpec> aggs)
+                    std::vector<AggSpec> aggs, int64_t batch_rows)
       : child_(std::move(child)),
         group_cols_(std::move(group_cols)),
         aggs_(std::move(aggs)),
+        batch_rows_(batch_rows),
         accs_(aggs_.size()) {
     CheckColumns(child_->schema(), group_cols_, "exec::StreamAggregate");
     for (const auto& a : aggs_) {
@@ -296,35 +280,41 @@ class StreamAggregateOp : public Operator {
     }
   }
 
+  /// Fills `out` to batch_rows groups. A full batch returns mid-input:
+  /// pos_ keeps the row that opens the next group.
   bool Next(Batch* out) override {
     out->Prepare(schema_);
     if (done_) return false;
-    while (out->empty()) {
-      if (!child_->Next(&scratch_)) {
-        done_ = true;
-        if (has_group_) EmitGroup(out);
-        return !out->empty();
+    while (out->num_rows() < batch_rows_) {
+      if (pos_ == scratch_.num_rows()) {
+        pos_ = 0;
+        if (!child_->Next(&scratch_)) {
+          done_ = true;
+          if (has_group_) EmitGroup(out);
+          break;
+        }
       }
-      for (int64_t r = 0; r < scratch_.num_rows(); ++r) {
+      for (; pos_ < scratch_.num_rows(); ++pos_) {
         if (has_group_ &&
-            Batch::CompareRows(rep_, 0, scratch_, r, group_cols_) != 0) {
+            Batch::CompareRows(rep_, 0, scratch_, pos_, group_cols_) != 0) {
           EmitGroup(out);
+          if (out->num_rows() >= batch_rows_) break;
         }
         if (!has_group_) {
           rep_.Clear();
-          rep_.AppendRows(scratch_, r, r + 1);
+          rep_.AppendRows(scratch_, pos_, pos_ + 1);
           has_group_ = true;
         }
         for (size_t i = 0; i < aggs_.size(); ++i) {
           if (aggs_[i].kind == AggSpec::Kind::kCount) {
             accs_[i].AddCountOnly();
           } else {
-            accs_[i].Add(scratch_.col(aggs_[i].col).Numeric(r));
+            accs_[i].Add(scratch_.col(aggs_[i].col).Numeric(pos_));
           }
         }
       }
     }
-    return true;
+    return !out->empty();
   }
 
  private:
@@ -348,8 +338,10 @@ class StreamAggregateOp : public Operator {
   OpPtr child_;
   std::vector<ColumnId> group_cols_;
   std::vector<AggSpec> aggs_;
+  int64_t batch_rows_;
   std::vector<Acc> accs_;
   Batch scratch_;
+  int64_t pos_ = 0;  // next unconsumed row of scratch_
   Batch rep_;  // one row: the current group's representative
   bool has_group_ = false;
   bool done_ = false;
@@ -377,12 +369,14 @@ struct Cursor {
 class MergeJoinOp : public Operator {
  public:
   MergeJoinOp(OpPtr left, ColumnId left_key, OpPtr right, ColumnId right_key,
-              opt::ExecStats* stats, const std::string& right_prefix)
+              opt::ExecStats* stats, int64_t batch_rows,
+              const std::string& right_prefix)
       : left_hold_(std::move(left)),
         right_hold_(std::move(right)),
         left_key_(left_key),
         right_key_(right_key),
-        stats_(stats) {
+        stats_(stats),
+        batch_rows_(batch_rows) {
     CheckColumn(left_hold_->schema(), left_key_, "exec::MergeJoin (left key)");
     CheckColumn(right_hold_->schema(), right_key_,
                 "exec::MergeJoin (right key)");
@@ -401,7 +395,7 @@ class MergeJoinOp : public Operator {
 
   bool Next(Batch* out) override {
     out->Prepare(schema_);
-    while (out->num_rows() < kDefaultBatchRows) {
+    while (out->num_rows() < batch_rows_) {
       if (run_active_) {
         EmitRun(out);
         continue;
@@ -438,23 +432,25 @@ class MergeJoinOp : public Operator {
   }
 
   /// Emits (left row × buffered run) for every left row still equal to the
-  /// run key, pausing (run stays active) when the output batch fills.
+  /// run key, pausing when the output batch fills: run_pos_ keeps the next
+  /// run row to pair with the current left row, and the run stays active.
   void EmitRun(Batch* out) {
     while (left_.Ensure() &&
            left_.batch.col(left_key_).Compare(left_.pos, run_.col(right_key_),
                                               0) == 0) {
-      for (int64_t rr = 0; rr < run_.num_rows(); ++rr) {
+      for (; run_pos_ < run_.num_rows(); ++run_pos_) {
+        if (out->num_rows() >= batch_rows_) return;
         for (int c = 0; c < left_cols_; ++c) {
           out->col(c).AppendFrom(left_.batch.col(c), left_.pos);
         }
         for (int c = 0; c < run_.num_columns(); ++c) {
-          out->col(left_cols_ + c).AppendFrom(run_.col(c), rr);
+          out->col(left_cols_ + c).AppendFrom(run_.col(c), run_pos_);
         }
         out->FinishRow();
+        if (stats_ != nullptr) ++stats_->rows_joined;
       }
-      if (stats_ != nullptr) stats_->rows_joined += run_.num_rows();
+      run_pos_ = 0;
       left_.Advance();
-      if (out->num_rows() >= kDefaultBatchRows) return;
     }
     run_active_ = false;
   }
@@ -464,9 +460,11 @@ class MergeJoinOp : public Operator {
   ColumnId left_key_;
   ColumnId right_key_;
   opt::ExecStats* stats_;
+  int64_t batch_rows_;
   Cursor left_;
   Cursor right_;
   Batch run_;  // buffered right-side equal-key run
+  int64_t run_pos_ = 0;  // next run row for the current left row
   bool run_active_ = false;
   int left_cols_ = 0;
 };
@@ -499,55 +497,16 @@ class LimitOp : public Operator {
 };
 
 // ---------------------------------------------------------------------------
-// Pipeline breakers. Each consumes its child via Drain(child, nullptr)
-// (no output-side stats: rows_output/batches describe the pipeline root).
-
-class SortOp : public Operator {
- public:
-  SortOp(OpPtr child, SortSpec spec, opt::ExecStats* stats,
-         int64_t batch_rows)
-      : child_(std::move(child)),
-        spec_(std::move(spec)),
-        stats_(stats),
-        batch_rows_(batch_rows) {
-    CheckColumns(child_->schema(), spec_, "exec::Sort");
-    schema_ = child_->schema();
-    ordering_ = spec_;
-  }
-
-  bool Next(Batch* out) override {
-    out->Prepare(schema_);
-    if (!sorted_ready_) {
-      Table in = Drain(child_.get(), nullptr);
-      bool was_sorted = false;
-      sorted_ = engine::SortBy(in, spec_, &was_sorted);
-      if (stats_ != nullptr) {
-        if (was_sorted) {
-          ++stats_->sorts_elided;  // runtime short-circuit: already sorted
-        } else {
-          ++stats_->sorts;
-        }
-      }
-      sorted_ready_ = true;
-    }
-    return EmitTableSlice(sorted_, &pos_, batch_rows_, out);
-  }
-
- private:
-  OpPtr child_;
-  SortSpec spec_;
-  opt::ExecStats* stats_;
-  int64_t batch_rows_;
-  Table sorted_;
-  bool sorted_ready_ = false;
-  int64_t pos_ = 0;
-};
+// Pipeline breakers: TopK here; the sort in sort.cc, the hash aggregate and
+// hash join in parallel.cc. Each consumes its child without output-side
+// stats (rows_output/batches describe the pipeline root).
 
 class TopKOp : public Operator {
  public:
-  TopKOp(OpPtr child, SortSpec spec, int64_t k, opt::ExecStats* stats)
+  TopKOp(OpPtr child, SortSpec spec, int64_t k, opt::ExecStats* stats,
+         int64_t batch_rows)
       : child_(std::move(child)), spec_(std::move(spec)), k_(k),
-        stats_(stats) {
+        stats_(stats), batch_rows_(batch_rows) {
     CheckColumns(child_->schema(), spec_, "exec::TopK");
     schema_ = child_->schema();
     ordering_ = spec_;
@@ -572,7 +531,7 @@ class TopKOp : public Operator {
       if (stats_ != nullptr) ++stats_->sorts;  // the enforcer was paid
       ready_ = true;
     }
-    return EmitTableSlice(top_, &pos_, kDefaultBatchRows, out);
+    return EmitTableSlice(top_, &pos_, batch_rows_, out);
   }
 
  private:
@@ -580,113 +539,10 @@ class TopKOp : public Operator {
   SortSpec spec_;
   int64_t k_;
   opt::ExecStats* stats_;
+  int64_t batch_rows_;
   Table top_;
   bool ready_ = false;
   int64_t pos_ = 0;
-};
-
-class HashAggregateOp : public Operator {
- public:
-  HashAggregateOp(OpPtr child, std::vector<ColumnId> group_cols,
-                  std::vector<AggSpec> aggs)
-      : child_(std::move(child)),
-        group_cols_(std::move(group_cols)),
-        aggs_(std::move(aggs)) {
-    CheckColumns(child_->schema(), group_cols_, "exec::HashAggregate");
-    for (const auto& a : aggs_) {
-      if (a.kind != AggSpec::Kind::kCount) {
-        CheckColumn(child_->schema(), a.col, "exec::HashAggregate");
-      }
-    }
-    schema_ = AggOutputSchema(child_->schema(), group_cols_, aggs_);
-  }
-
-  bool Next(Batch* out) override {
-    out->Prepare(schema_);
-    if (!ready_) {
-      Table in = Drain(child_.get(), nullptr);
-      result_ = engine::HashGroupBy(in, group_cols_, aggs_);
-      ready_ = true;
-    }
-    return EmitTableSlice(result_, &pos_, kDefaultBatchRows, out);
-  }
-
- private:
-  OpPtr child_;
-  std::vector<ColumnId> group_cols_;
-  std::vector<AggSpec> aggs_;
-  Table result_;
-  bool ready_ = false;
-  int64_t pos_ = 0;
-};
-
-class HashJoinOp : public Operator {
- public:
-  HashJoinOp(OpPtr left, ColumnId left_key, OpPtr right, ColumnId right_key,
-             opt::ExecStats* stats, const std::string& right_prefix)
-      : left_(std::move(left)),
-        right_(std::move(right)),
-        left_key_(left_key),
-        right_key_(right_key),
-        stats_(stats) {
-    CheckColumn(left_->schema(), left_key_, "exec::HashJoin (left key)");
-    CheckColumn(right_->schema(), right_key_, "exec::HashJoin (right key)");
-    // The build table and probe loop read keys through the unchecked
-    // int64 accessor; reject other key types up front instead of reading
-    // out of bounds.
-    if (left_->schema().col(left_key_).type != DataType::kInt64 ||
-        right_->schema().col(right_key_).type != DataType::kInt64) {
-      throw std::invalid_argument(
-          "exec::HashJoin: join keys must be int64 columns (use MergeJoin "
-          "for other key types)");
-    }
-    schema_ = JoinSchema(left_->schema(), right_->schema(), right_prefix);
-    ordering_ = left_->ordering();  // probe preserves left row order
-    left_cols_ = left_->schema().num_columns();
-    if (stats_ != nullptr) ++stats_->joins;
-  }
-
-  bool Next(Batch* out) override {
-    out->Prepare(schema_);
-    if (!built_) {
-      build_ = Drain(right_.get(), nullptr);
-      table_.reserve(build_.num_rows());
-      for (int64_t r = 0; r < build_.num_rows(); ++r) {
-        table_.emplace(build_.col(right_key_).Int(r), r);
-      }
-      built_ = true;
-    }
-    while (out->empty()) {
-      if (!left_->Next(&scratch_)) return false;
-      for (int64_t l = 0; l < scratch_.num_rows(); ++l) {
-        auto [begin, end] =
-            table_.equal_range(scratch_.col(left_key_).Int(l));
-        for (auto it = begin; it != end; ++it) {
-          for (int c = 0; c < left_cols_; ++c) {
-            out->col(c).AppendFrom(scratch_.col(c), l);
-          }
-          for (int c = 0; c < build_.num_columns(); ++c) {
-            out->col(left_cols_ + c).AppendFrom(build_.col(c), it->second);
-          }
-          out->FinishRow();
-          if (stats_ != nullptr) ++stats_->rows_joined;
-        }
-      }
-    }
-    return true;
-  }
-
- private:
-  OpPtr left_;
-  OpPtr right_;
-  ColumnId left_key_;
-  ColumnId right_key_;
-  opt::ExecStats* stats_;
-  Table build_;
-  std::unordered_multimap<int64_t, int64_t> table_;
-  bool built_ = false;
-  int left_cols_ = 0;
-  Batch scratch_;
 };
 
 // ---------------------------------------------------------------------------
@@ -729,7 +585,20 @@ class CheckOrderOp : public Operator {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Helpers shared with parallel.cc and external_sort.cc (op_util.h).
+// Helpers shared with parallel.cc and sort.cc (op_util.h).
+
+void CheckColumn(const Schema& s, ColumnId c, const char* op) {
+  if (c < 0 || c >= s.num_columns()) {
+    throw std::out_of_range(std::string(op) + ": column id " +
+                            std::to_string(c) + " out of range [0, " +
+                            std::to_string(s.num_columns()) + ")");
+  }
+}
+
+void CheckColumns(const Schema& s, const std::vector<ColumnId>& cols,
+                  const char* op) {
+  for (ColumnId c : cols) CheckColumn(s, c, op);
+}
 
 std::string SpecString(const SortSpec& spec) {
   std::string out = "[";
@@ -832,9 +701,9 @@ OpPtr Project(OpPtr child, std::vector<ColumnId> cols) {
 }
 
 OpPtr StreamAggregate(OpPtr child, std::vector<ColumnId> group_cols,
-                      std::vector<AggSpec> aggs) {
+                      std::vector<AggSpec> aggs, int64_t batch_rows) {
   return std::make_unique<StreamAggregateOp>(
-      std::move(child), std::move(group_cols), std::move(aggs));
+      std::move(child), std::move(group_cols), std::move(aggs), batch_rows);
 }
 
 OpPtr StreamDistinct(OpPtr child, std::vector<ColumnId> cols) {
@@ -842,41 +711,21 @@ OpPtr StreamDistinct(OpPtr child, std::vector<ColumnId> cols) {
 }
 
 OpPtr MergeJoin(OpPtr left, ColumnId left_key, OpPtr right,
-                ColumnId right_key, opt::ExecStats* stats,
+                ColumnId right_key, opt::ExecStats* stats, int64_t batch_rows,
                 const std::string& right_prefix) {
   return std::make_unique<MergeJoinOp>(std::move(left), left_key,
                                        std::move(right), right_key, stats,
-                                       right_prefix);
+                                       batch_rows, right_prefix);
 }
 
 OpPtr Limit(OpPtr child, int64_t n) {
   return std::make_unique<LimitOp>(std::move(child), n);
 }
 
-OpPtr Sort(OpPtr child, SortSpec spec, opt::ExecStats* stats,
+OpPtr TopK(OpPtr child, SortSpec spec, int64_t k, opt::ExecStats* stats,
            int64_t batch_rows) {
-  return std::make_unique<SortOp>(std::move(child), std::move(spec), stats,
-                                  batch_rows);
-}
-
-OpPtr TopK(OpPtr child, SortSpec spec, int64_t k, opt::ExecStats* stats) {
   return std::make_unique<TopKOp>(std::move(child), std::move(spec), k,
-                                  stats);
-}
-
-OpPtr HashAggregate(OpPtr child, std::vector<ColumnId> group_cols,
-                    std::vector<AggSpec> aggs) {
-  return std::make_unique<HashAggregateOp>(std::move(child),
-                                           std::move(group_cols),
-                                           std::move(aggs));
-}
-
-OpPtr HashJoin(OpPtr left, ColumnId left_key, OpPtr right,
-               ColumnId right_key, opt::ExecStats* stats,
-               const std::string& right_prefix) {
-  return std::make_unique<HashJoinOp>(std::move(left), left_key,
-                                      std::move(right), right_key, stats,
-                                      right_prefix);
+                                  stats, batch_rows);
 }
 
 OpPtr CheckOrder(OpPtr child) {

@@ -421,9 +421,10 @@ class ExchangeOp : public Operator {
 };
 
 // ---------------------------------------------------------------------------
-// Partition-parallel aggregation.
+// Hash aggregation: exec::HashAggregate (one fragment, the caller's thread)
+// and exec::ParallelHashAggregate (one task per fragment).
 
-/// One worker's aggregation state: group key (Column::AppendKey) -> slot,
+/// One fragment's aggregation state: group key (Column::AppendKey) -> slot,
 /// each slot's key in first-seen order (the map's keys, which stay put
 /// when it rehashes), the group's key values (for emitting) and one Acc
 /// per aggregate.
@@ -434,43 +435,40 @@ struct LocalAgg {
   std::vector<std::vector<Acc>> accs;
 };
 
-class ParallelHashAggregateOp : public Operator {
+class HashAggregateOp : public Operator {
  public:
-  ParallelHashAggregateOp(int num_fragments, FragmentFactory factory,
-                          std::vector<ColumnId> group_cols,
-                          std::vector<AggSpec> aggs,
-                          common::ThreadPool* pool, opt::ExecStats* stats,
-                          int64_t batch_rows)
+  /// With a `factory`, fragment i is factory(i, private stats) and each
+  /// fragment drains as its own task; without one, `child` is the single
+  /// fragment, drained inline: no exchange.fragment span and no
+  /// ExecStats::fragments.
+  HashAggregateOp(OpPtr child, int num_fragments, FragmentFactory factory,
+                  std::vector<ColumnId> group_cols, std::vector<AggSpec> aggs,
+                  common::ThreadPool* pool, opt::ExecStats* stats,
+                  int64_t batch_rows)
       : group_cols_(std::move(group_cols)),
         aggs_(std::move(aggs)),
         pool_(pool),
         stats_(stats),
         batch_rows_(batch_rows),
         num_fragments_(num_fragments),
-        factory_(std::move(factory)) {
+        factory_(std::move(factory)),
+        frag0_(std::move(child)) {
     if (num_fragments_ < 1) {
-      throw std::invalid_argument(
-          "exec::ParallelHashAggregate: need >= 1 fragment");
+      throw std::invalid_argument("exec::HashAggregate: need >= 1 fragment");
     }
-    frag_stats_.resize(num_fragments_);
-    // Fragment 0 eagerly for the schema; the rest inside their tasks.
-    frag0_ = factory_(0, &frag_stats_[0]);
+    if (factory_) {
+      // Fragment 0 eagerly for the schema; the rest inside their tasks.
+      frag_stats_.resize(num_fragments_);
+      frag0_ = factory_(0, &frag_stats_[0]);
+    }
     if (frag0_ == nullptr) {
-      throw std::invalid_argument(
-          "exec::ParallelHashAggregate: null fragment");
+      throw std::invalid_argument("exec::HashAggregate: null fragment");
     }
     const Schema& in = frag0_->schema();
-    for (ColumnId c : group_cols_) {
-      if (c < 0 || c >= in.num_columns()) {
-        throw std::out_of_range(
-            "exec::ParallelHashAggregate: group column out of range");
-      }
-    }
+    CheckColumns(in, group_cols_, "exec::HashAggregate");
     for (const auto& a : aggs_) {
-      if (a.kind != AggSpec::Kind::kCount &&
-          (a.col < 0 || a.col >= in.num_columns())) {
-        throw std::out_of_range(
-            "exec::ParallelHashAggregate: agg column out of range");
+      if (a.kind != AggSpec::Kind::kCount) {
+        CheckColumn(in, a.col, "exec::HashAggregate");
       }
     }
     schema_ = AggOutputSchema(in, group_cols_, aggs_);
@@ -484,72 +482,79 @@ class ParallelHashAggregateOp : public Operator {
   }
 
  private:
-  void BuildAndMerge() {
-    const int n = num_fragments_;
-    std::vector<LocalAgg> locals(n);
-    // Fragments are built *inside* their tasks (fragment 0 was pre-built
-    // for the schema) and drained into per-fragment LocalAggs; with a null
-    // or single-threaded pool TaskGroup::Submit degenerates to running
-    // them inline.
-    auto build_one = [&](int i) {
-      OD_TRACE_SPAN("exchange.fragment");
-      OpPtr frag = i == 0 ? std::move(frag0_) : factory_(i, &frag_stats_[i]);
-      if (frag == nullptr) {
-        throw std::invalid_argument(
-            "exec::ParallelHashAggregate: null fragment");
-      }
-      frag->StartConsume("exec::ParallelHashAggregate");
-      LocalAgg& local = locals[i];
-      Batch batch;
-      std::string key;
-      while (frag->Next(&batch)) {
-        for (int64_t r = 0; r < batch.num_rows(); ++r) {
-          key.clear();
-          for (ColumnId c : group_cols_) batch.col(c).AppendKey(r, &key);
-          auto [it, inserted] = local.slots.try_emplace(
-              key, static_cast<int64_t>(local.accs.size()));
-          if (inserted) {
-            local.keys.push_back(&it->first);
-            std::vector<Value> vals;
-            vals.reserve(group_cols_.size());
-            for (ColumnId c : group_cols_) {
-              vals.push_back(batch.col(c).Get(r));
-            }
-            local.group_vals.push_back(std::move(vals));
-            local.accs.emplace_back(aggs_.size());
-          }
-          std::vector<Acc>& accs = local.accs[it->second];
-          for (size_t a = 0; a < aggs_.size(); ++a) {
-            if (aggs_[a].kind == AggSpec::Kind::kCount) {
-              accs[a].AddCountOnly();
-            } else {
-              accs[a].Add(batch.col(aggs_[a].col).Numeric(r));
-            }
+  /// Drains `frag` into `local`.
+  void Accumulate(Operator* frag, LocalAgg* local) const {
+    frag->StartConsume("exec::HashAggregate");
+    Batch batch;
+    std::string key;
+    while (frag->Next(&batch)) {
+      for (int64_t r = 0; r < batch.num_rows(); ++r) {
+        key.clear();
+        for (ColumnId c : group_cols_) batch.col(c).AppendKey(r, &key);
+        auto [it, inserted] = local->slots.try_emplace(
+            key, static_cast<int64_t>(local->accs.size()));
+        if (inserted) {
+          local->keys.push_back(&it->first);
+          std::vector<Value> vals;
+          vals.reserve(group_cols_.size());
+          for (ColumnId c : group_cols_) vals.push_back(batch.col(c).Get(r));
+          local->group_vals.push_back(std::move(vals));
+          local->accs.emplace_back(aggs_.size());
+        }
+        std::vector<Acc>& accs = local->accs[it->second];
+        for (size_t a = 0; a < aggs_.size(); ++a) {
+          if (aggs_[a].kind == AggSpec::Kind::kCount) {
+            accs[a].AddCountOnly();
+          } else {
+            accs[a].Add(batch.col(aggs_[a].col).Numeric(r));
           }
         }
       }
-    };
-    {
+    }
+  }
+
+  void BuildAndMerge() {
+    const int n = num_fragments_;
+    std::vector<LocalAgg> locals(n);
+    if (!factory_) {
+      Accumulate(frag0_.get(), &locals[0]);
+    } else {
+      // Fragments are built *inside* their tasks (fragment 0 was pre-built
+      // for the schema); with a null or single-threaded pool
+      // TaskGroup::Submit runs them inline.
       common::TaskGroup group(pool_);
       for (int i = 0; i < n; ++i) {
-        group.Submit([&build_one, i] { build_one(i); });
+        group.Submit([this, &locals, i] {
+          OD_TRACE_SPAN("exchange.fragment");
+          OpPtr frag =
+              i == 0 ? std::move(frag0_) : factory_(i, &frag_stats_[i]);
+          if (frag == nullptr) {
+            throw std::invalid_argument("exec::HashAggregate: null fragment");
+          }
+          Accumulate(frag.get(), &locals[i]);
+        });
       }
       group.Wait();  // rethrows the first fragment failure
     }
-    // Single-threaded merge in fragment order, each fragment's groups in
-    // first-seen order: the serial first-seen group order.
+    // Several fragments merge single-threaded into a fresh map, in
+    // fragment order, each fragment's groups in first-seen order: the
+    // serial first-seen group order.
     LocalAgg merged;
-    for (LocalAgg& local : locals) {
-      for (size_t slot = 0; slot < local.keys.size(); ++slot) {
-        auto [it, inserted] = merged.slots.try_emplace(
-            *local.keys[slot], static_cast<int64_t>(merged.accs.size()));
-        if (inserted) {
-          merged.group_vals.push_back(std::move(local.group_vals[slot]));
-          merged.accs.push_back(std::move(local.accs[slot]));
-        } else {
-          std::vector<Acc>& into = merged.accs[it->second];
-          for (size_t a = 0; a < aggs_.size(); ++a) {
-            into[a].Merge(local.accs[slot][a]);
+    if (n == 1) {
+      merged = std::move(locals[0]);
+    } else {
+      for (LocalAgg& local : locals) {
+        for (size_t slot = 0; slot < local.keys.size(); ++slot) {
+          auto [it, inserted] = merged.slots.try_emplace(
+              *local.keys[slot], static_cast<int64_t>(merged.accs.size()));
+          if (inserted) {
+            merged.group_vals.push_back(std::move(local.group_vals[slot]));
+            merged.accs.push_back(std::move(local.accs[slot]));
+          } else {
+            std::vector<Acc>& into = merged.accs[it->second];
+            for (size_t a = 0; a < aggs_.size(); ++a) {
+              into[a].Merge(local.accs[slot][a]);
+            }
           }
         }
       }
@@ -570,7 +575,7 @@ class ParallelHashAggregateOp : public Operator {
       }
       result_.FinishRow();
     }
-    if (stats_ != nullptr) {
+    if (factory_ && stats_ != nullptr) {
       stats_->fragments += n;
       for (const opt::ExecStats& fs : frag_stats_) {
         opt::ExecStats partial = fs;
@@ -739,28 +744,46 @@ class CombinePartialAggregatesOp : public Operator {
 };
 
 // ---------------------------------------------------------------------------
-// Shared-build parallel hash join.
+// Hash join: exec::HashJoin builds its table on the first Next; exchange
+// fragments (exec::HashProbe) probe one table built before they start.
 
-class HashProbeOp : public Operator {
+/// Validates a hash-join key: in range, and int64 (the table and the probe
+/// loop read keys through the unchecked int64 accessor).
+void CheckHashKey(const Schema& s, ColumnId key, const char* op) {
+  CheckColumn(s, key, op);
+  if (s.col(key).type != DataType::kInt64) {
+    throw std::invalid_argument(std::string(op) +
+                                ": join keys must be int64 columns (use "
+                                "MergeJoin for other key types)");
+  }
+}
+
+class HashJoinOp : public Operator {
  public:
-  HashProbeOp(OpPtr probe, ColumnId probe_key,
-              std::shared_ptr<const SharedHashTable> table,
-              opt::ExecStats* stats, const std::string& right_prefix)
+  /// Probes `table`, or — when `table` is null — the table it builds from
+  /// `build` on its first Next, so the build's time lands in this
+  /// operator's Next (EXPLAIN ANALYZE charges it to the join node).
+  HashJoinOp(OpPtr probe, ColumnId probe_key,
+             std::shared_ptr<const SharedHashTable> table, OpPtr build,
+             ColumnId build_key, opt::ExecStats* stats,
+             const std::string& right_prefix)
       : probe_(std::move(probe)),
         probe_key_(probe_key),
         table_(std::move(table)),
+        build_(std::move(build)),
+        build_key_(build_key),
         stats_(stats) {
-    if (table_ == nullptr) {
-      throw std::invalid_argument("exec::HashProbe: null build table");
+    if (table_ == nullptr && build_ == nullptr) {
+      throw std::invalid_argument("exec::HashJoin: null build table");
     }
-    if (probe_key_ < 0 || probe_key_ >= probe_->schema().num_columns()) {
-      throw std::out_of_range("exec::HashProbe: probe key out of range");
+    CheckHashKey(probe_->schema(), probe_key_, "exec::HashJoin");
+    if (build_ != nullptr) {
+      CheckHashKey(build_->schema(), build_key_, "exec::HashJoin");
+      if (stats_ != nullptr) ++stats_->joins;
     }
-    if (probe_->schema().col(probe_key_).type != DataType::kInt64) {
-      throw std::invalid_argument(
-          "exec::HashProbe: probe key must be an int64 column");
-    }
-    schema_ = JoinSchema(probe_->schema(), table_->rows.schema(),
+    schema_ = JoinSchema(probe_->schema(),
+                         build_ != nullptr ? build_->schema()
+                                           : table_->rows.schema(),
                          right_prefix);
     ordering_ = probe_->ordering();  // probing preserves probe row order
     probe_cols_ = probe_->schema().num_columns();
@@ -768,6 +791,9 @@ class HashProbeOp : public Operator {
 
   bool Next(Batch* out) override {
     out->Prepare(schema_);
+    if (table_ == nullptr) {
+      table_ = BuildSharedHash(std::move(build_), build_key_, nullptr);
+    }
     while (out->empty()) {
       if (!probe_->Next(&scratch_)) return false;
       for (int64_t l = 0; l < scratch_.num_rows(); ++l) {
@@ -793,6 +819,8 @@ class HashProbeOp : public Operator {
   OpPtr probe_;
   ColumnId probe_key_;
   std::shared_ptr<const SharedHashTable> table_;
+  OpPtr build_;  // serial form, until the first Next builds table_
+  ColumnId build_key_;
   opt::ExecStats* stats_;
   int probe_cols_ = 0;
   Batch scratch_;
@@ -813,9 +841,16 @@ OpPtr ParallelHashAggregate(int num_fragments, FragmentFactory factory,
                             std::vector<engine::AggSpec> aggs,
                             common::ThreadPool* pool, opt::ExecStats* stats,
                             int64_t batch_rows) {
-  return std::make_unique<ParallelHashAggregateOp>(
-      num_fragments, std::move(factory), std::move(group_cols),
+  return std::make_unique<HashAggregateOp>(
+      nullptr, num_fragments, std::move(factory), std::move(group_cols),
       std::move(aggs), pool, stats, batch_rows);
+}
+
+OpPtr HashAggregate(OpPtr child, std::vector<engine::ColumnId> group_cols,
+                    std::vector<engine::AggSpec> aggs, int64_t batch_rows) {
+  return std::make_unique<HashAggregateOp>(
+      std::move(child), 1, nullptr, std::move(group_cols), std::move(aggs),
+      nullptr, nullptr, batch_rows);
 }
 
 OpPtr CombinePartialAggregates(OpPtr child, int num_group_cols,
@@ -826,13 +861,7 @@ OpPtr CombinePartialAggregates(OpPtr child, int num_group_cols,
 
 std::shared_ptr<const SharedHashTable> BuildSharedHash(
     OpPtr build, engine::ColumnId key, opt::ExecStats* stats) {
-  if (key < 0 || key >= build->schema().num_columns()) {
-    throw std::out_of_range("exec::BuildSharedHash: key out of range");
-  }
-  if (build->schema().col(key).type != DataType::kInt64) {
-    throw std::invalid_argument(
-        "exec::BuildSharedHash: build key must be an int64 column");
-  }
+  CheckHashKey(build->schema(), key, "exec::BuildSharedHash");
   auto table = std::make_shared<SharedHashTable>();
   table->rows = Drain(build.get(), nullptr);
   table->index.reserve(table->rows.num_rows());
@@ -846,9 +875,17 @@ std::shared_ptr<const SharedHashTable> BuildSharedHash(
 OpPtr HashProbe(OpPtr probe, engine::ColumnId probe_key,
                 std::shared_ptr<const SharedHashTable> table,
                 opt::ExecStats* stats, const std::string& right_prefix) {
-  return std::make_unique<HashProbeOp>(std::move(probe), probe_key,
-                                       std::move(table), stats,
-                                       right_prefix);
+  return std::make_unique<HashJoinOp>(std::move(probe), probe_key,
+                                      std::move(table), nullptr, -1, stats,
+                                      right_prefix);
+}
+
+OpPtr HashJoin(OpPtr left, engine::ColumnId left_key, OpPtr right,
+               engine::ColumnId right_key, opt::ExecStats* stats,
+               const std::string& right_prefix) {
+  return std::make_unique<HashJoinOp>(std::move(left), left_key, nullptr,
+                                      std::move(right), right_key, stats,
+                                      right_prefix);
 }
 
 }  // namespace exec

@@ -87,7 +87,8 @@ OpPtr Exchange(int num_fragments, FragmentFactory factory, MergeMode mode,
 /// merged accumulator-wise after the join — so non-decomposable results
 /// like kAvg still come out exact (avg is finished only after the merge).
 /// Output schema: group columns then one column per aggregate; no output
-/// ordering (like HashAggregate).
+/// ordering. The same operator as HashAggregate, whose one fragment is its
+/// child.
 OpPtr ParallelHashAggregate(int num_fragments, FragmentFactory factory,
                             std::vector<engine::ColumnId> group_cols,
                             std::vector<engine::AggSpec> aggs,
@@ -122,7 +123,8 @@ std::shared_ptr<const SharedHashTable> BuildSharedHash(
 
 /// Streams `probe`, emitting probe columns then build columns (colliding
 /// names prefixed) for every match in `table` — the per-fragment probe half
-/// of a parallel hash join. Preserves the probe child's ordering.
+/// of a parallel hash join; the same operator as HashJoin, given its table.
+/// Preserves the probe child's ordering.
 OpPtr HashProbe(OpPtr probe, engine::ColumnId probe_key,
                 std::shared_ptr<const SharedHashTable> table,
                 opt::ExecStats* stats = nullptr,

@@ -57,21 +57,16 @@ struct RunCursor {
   }
 };
 
-class ExternalSortOp : public Operator {
+class SortOp : public Operator {
  public:
-  ExternalSortOp(OpPtr child, SortSpec spec, SortOptions options,
-                 opt::ExecStats* stats, int64_t batch_rows)
+  SortOp(OpPtr child, SortSpec spec, SortOptions options,
+         opt::ExecStats* stats, int64_t batch_rows)
       : child_(std::move(child)),
         spec_(std::move(spec)),
-        options_(options),
+        options_(std::move(options)),
         stats_(stats),
         batch_rows_(batch_rows) {
-    for (engine::ColumnId c : spec_) {
-      if (c < 0 || c >= child_->schema().num_columns()) {
-        throw std::out_of_range("exec::ExternalSort: column id " +
-                                std::to_string(c) + " out of range");
-      }
-    }
+    CheckColumns(child_->schema(), spec_, "exec::Sort");
     schema_ = child_->schema();
     ordering_ = spec_;
     // Full elision: the child's proven ordering property already covers
@@ -83,7 +78,7 @@ class ExternalSortOp : public Operator {
     out->Prepare(schema_);
     if (passthrough_) {
       if (!claimed_) {
-        child_->StartConsume("exec::ExternalSort");
+        child_->StartConsume("exec::Sort");
         claimed_ = true;
         if (stats_ != nullptr) ++stats_->sorts_elided;
       }
@@ -108,7 +103,7 @@ class ExternalSortOp : public Operator {
   };
 
   void BuildRuns() {
-    child_->StartConsume("exec::ExternalSort");
+    child_->StartConsume("exec::Sort");
     claimed_ = true;
     // Budget 0 would make zero-row runs; one row per run is the floor that
     // still guarantees progress (and maximal spill pressure in tests).
@@ -300,7 +295,7 @@ class ExternalSortOp : public Operator {
   // with stable per-run sorts and runs cut in input order — reproduces the
   // exact row order of a single stable in-memory sort.
   struct HeapCmp {
-    const ExternalSortOp* op;
+    const SortOp* op;
     bool operator()(int a, int b) const {
       const RunCursor& ca = op->cursors_[a];
       const RunCursor& cb = op->cursors_[b];
@@ -332,10 +327,10 @@ class ExternalSortOp : public Operator {
 
 }  // namespace
 
-OpPtr ExternalSort(OpPtr child, engine::SortSpec spec, SortOptions options,
-                   opt::ExecStats* stats, int64_t batch_rows) {
-  return std::make_unique<ExternalSortOp>(std::move(child), std::move(spec),
-                                          options, stats, batch_rows);
+OpPtr Sort(OpPtr child, engine::SortSpec spec, SortOptions options,
+           opt::ExecStats* stats, int64_t batch_rows) {
+  return std::make_unique<SortOp>(std::move(child), std::move(spec),
+                                  std::move(options), stats, batch_rows);
 }
 
 }  // namespace exec

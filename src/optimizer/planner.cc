@@ -1051,7 +1051,7 @@ exec::OpPtr CompileFragment(
       return exec::StreamAggregate(
           CompileFragment(*n.children[0], tables, stats, opts, morsel,
                           shared, shared_idx),
-          n.group_cols, n.aggs);
+          n.group_cols, n.aggs, opts.batch_rows);
     default:
       throw std::logic_error("CompileFragment: node is not fragment-safe");
   }
@@ -1099,22 +1099,13 @@ exec::OpPtr CompileNode(const PhysicalNode& n,
                          n.spec);
       break;
     case Kind::kSort:
-      if (opts.spill_budget_rows >= 0) {
-        exec::SortOptions so;
-        so.memory_budget_rows = opts.spill_budget_rows;
-        so.temp_dir = opts.spill_dir;
-        so.pool = opts.pool;
-        op = exec::ExternalSort(
-            CompileNode(*n.children[0], tables, stats, opts), n.spec, so,
-            stats, opts.batch_rows);
-      } else {
-        op = exec::Sort(CompileNode(*n.children[0], tables, stats, opts),
-                        n.spec, stats, opts.batch_rows);
-      }
+      op = exec::Sort(CompileNode(*n.children[0], tables, stats, opts), n.spec,
+                      {opts.spill_budget_rows, opts.spill_dir, opts.pool},
+                      stats, opts.batch_rows);
       break;
     case Kind::kTopK:
       op = exec::TopK(CompileNode(*n.children[0], tables, stats, opts),
-                      n.spec, n.limit, stats);
+                      n.spec, n.limit, stats, opts.batch_rows);
       break;
     case Kind::kLimit:
       op = exec::Limit(CompileNode(*n.children[0], tables, stats, opts),
@@ -1123,18 +1114,18 @@ exec::OpPtr CompileNode(const PhysicalNode& n,
     case Kind::kStreamAgg:
       op = exec::StreamAggregate(
           CompileNode(*n.children[0], tables, stats, opts), n.group_cols,
-          n.aggs);
+          n.aggs, opts.batch_rows);
       break;
     case Kind::kHashAgg:
       op = exec::HashAggregate(
           CompileNode(*n.children[0], tables, stats, opts), n.group_cols,
-          n.aggs);
+          n.aggs, opts.batch_rows);
       break;
     case Kind::kMergeJoin:
       op = exec::MergeJoin(CompileNode(*n.children[0], tables, stats, opts),
                            n.left_key,
                            CompileNode(*n.children[1], tables, stats, opts),
-                           n.right_key, stats);
+                           n.right_key, stats, opts.batch_rows);
       break;
     case Kind::kHashJoin:
       op = exec::HashJoin(CompileNode(*n.children[0], tables, stats, opts),

@@ -61,16 +61,16 @@ struct PlanOptions {
   /// records the dop it was built for; Compile/Execute then need `pool`.
   int dop = 1;
   /// Pool the exchanges stream fragments on at execution time (and the
-  /// external sort prepares runs on). Exchanges are placed wherever
+  /// sorts prepare spilled runs on). Exchanges are placed wherever
   /// profitable — several per plan — since producers are work-stealing
   /// scheduler tasks, not reserved threads. Null (or a one-thread pool)
   /// with dop > 1 runs the same producer pumps inline on the consumer
   /// thread: same results, no speedup, and each exchange holds up to
   /// fragments × exec::kExchangeQueueBatches batches — handy in tests.
   common::ThreadPool* pool = nullptr;
-  /// When >= 0, every Sort enforcer compiles to an ExternalSort that holds
-  /// at most this many rows in memory before spilling a sorted run to
-  /// disk. < 0 = in-memory sorts (the default).
+  /// Rows each Sort enforcer may hold in memory before it spills a sorted
+  /// run to disk; < 0 never spills (the default). Every plan compiles its
+  /// sorts to the one exec::Sort, with this budget.
   int64_t spill_budget_rows = -1;
   /// Directory for spilled runs (empty: the system temp dir).
   std::string spill_dir;

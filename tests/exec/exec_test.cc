@@ -260,7 +260,7 @@ TEST(SortTest, NanDoublesAgreeWithEngineSort) {
     t.AppendRow({Value(v)});
   }
   opt::ExecStats stats;
-  OpPtr sorted = Sort(Scan(&t, nullptr, 2), {0}, &stats);
+  OpPtr sorted = Sort(Scan(&t, nullptr, 2), {0}, {}, &stats);
   Table out = Drain(sorted.get());
   Table reference = engine::SortBy(t, {0});
   EXPECT_TRUE(TablesEqualExactly(reference, out));
@@ -274,7 +274,7 @@ TEST(SortTest, NanDoublesAgreeWithEngineSort) {
 TEST(SortTest, AlreadySortedInputCountsAsElided) {
   Table t = engine::SortBy(MakeKv(500, 7), {0});
   opt::ExecStats stats;
-  OpPtr sorted = Sort(Scan(&t), {0}, &stats);
+  OpPtr sorted = Sort(Scan(&t), {0}, {}, &stats);
   Table out = Drain(sorted.get());
   EXPECT_EQ(stats.sorts, 0);
   EXPECT_EQ(stats.sorts_elided, 1);
@@ -387,6 +387,19 @@ TEST(HashJoinTest, StreamingProbeMatchesEngineAndPreservesOrder) {
   EXPECT_TRUE(engine::SameRowMultiset(reference, streamed));
   EXPECT_TRUE(engine::IsSortedBy(streamed, {0}));
   EXPECT_EQ(stats.joins, 1);
+}
+
+TEST(HashJoinTest, SerialJoinBuildsOnItsFirstNext) {
+  // The build side drains inside the join's first Next, never at
+  // construction, so EXPLAIN ANALYZE charges the build to the join node.
+  Table fact = MakeKv(1000, 50);
+  Table dim = MakeKv(50, 50);
+  opt::ExecStats build_stats;
+  OpPtr j = HashJoin(Scan(&fact), 0, Scan(&dim, &build_stats), 0);
+  EXPECT_EQ(build_stats.rows_scanned, 0);
+  Batch b;
+  ASSERT_TRUE(j->Next(&b));
+  EXPECT_EQ(build_stats.rows_scanned, dim.num_rows());
 }
 
 TEST(IndexRangeScanTest, MatchesIndexScanRange) {

@@ -2,7 +2,10 @@
 // dop ∈ {1,2,4,8} × batch_rows ∈ {1,3,4096} × spill on/off, and each
 // parallel/spilled result must match the serial in-memory reference —
 // row-identical when the plan claims an ordering property, multiset-equal
-// (via a canonical re-sort) otherwise. Every drained stream is wrapped in
+// (via a canonical re-sort) otherwise. The serial reference runs the same
+// operator classes as the plans it judges, so it is checked in turn
+// against an oracle that shares no code with src/exec: the query answered
+// by the engine:: kernels alone. Every drained stream is wrapped in
 // exec::CheckOrder, so a plan that *claims* an ordering it does not
 // deliver fails loudly, not silently. The suite also asserts the paper's
 // headline invariant end to end: parallelizing an OD-aware plan never
@@ -17,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -93,14 +97,42 @@ bool DoublesMatch(double a, double b) {
   return ::testing::AssertionSuccess();
 }
 
-// Canonicalizes an order-free result for comparison: a stable sort by
-// every column (od-total on doubles, so NaNs order too). Used only when
-// the plan claims no ordering — group keys are unique there, so the sort
+// Canonicalizes a result for an order-free comparison: a stable sort by
+// every column (od-total on doubles, so NaNs order too). Aggregate results
+// have unique group keys and other results copy their values, so the sort
 // is deterministic regardless of ulp-level aggregate differences.
 Table Canonical(const Table& t) {
   SortSpec all;
   for (int c = 0; c < t.num_columns(); ++c) all.push_back(c);
   return engine::SortBy(t, all);
+}
+
+// The oracle: `q` answered by the engine:: kernels alone — each table
+// filtered, the filtered tables hash-joined onto the driving table in
+// clause order, hash-grouped, sorted. No query here has a LIMIT, whose
+// cut through tied rows would be ambiguous.
+Table EngineEvaluate(const LogicalQuery& q) {
+  auto filtered = [&q](size_t t) {
+    const Table& table = *q.tables[t].table;
+    return t < q.filters.size() ? engine::Filter(table, q.filters[t]) : table;
+  };
+  Table out = filtered(0);
+  for (const JoinClause& j : q.joins) {
+    out = engine::HashJoin(out, j.left_col, filtered(j.right_table),
+                           j.right_col);
+  }
+  SortSpec order = q.order_by;
+  if (!q.group_cols.empty() || !q.aggs.empty()) {
+    out = engine::HashGroupBy(out, q.group_cols, q.aggs);
+    // ORDER BY names group columns, which grouping moves to their
+    // positions in the group list.
+    for (engine::ColumnId& c : order) {
+      c = static_cast<engine::ColumnId>(
+          std::find(q.group_cols.begin(), q.group_cols.end(), c) -
+          q.group_cols.begin());
+    }
+  }
+  return engine::SortBy(out, order);
 }
 
 // Compiles `plan`, wraps the root in exec::CheckOrder (the drain-side
@@ -118,6 +150,9 @@ void SweepAgainstSerial(const LogicalQuery& q, common::ThreadPool* pool) {
   PhysicalPlan serial = PlanQuery(q);
   ExecStats ref_stats;
   Table ref = serial.Execute(&ref_stats);
+  ASSERT_LT(q.limit, 0) << "EngineEvaluate has no LIMIT";
+  EXPECT_TRUE(RowsIdentical(Canonical(EngineEvaluate(q)), Canonical(ref)))
+      << "serial plan disagrees with the engine:: oracle";
   const bool serial_has_sort = ExplainMentions(serial, "Sort");
   const SortSpec serial_order = serial.root().out_ordering;
   Table ref_canonical = serial_order.empty() ? Canonical(ref) : Table();

@@ -1,6 +1,6 @@
-// The out-of-core sort: a tiny memory budget must force run spilling
-// without changing a single row (spilled result bit-identical to the
-// in-memory sort), run elision must fire on pre-sorted inputs, and —
+// The sort enforcer out of core: a tiny memory budget must force run
+// spilling without changing a single row (spilled result bit-identical to
+// engine::SortBy), run elision must fire on pre-sorted inputs, and —
 // the part a happy-path test can't see — every temp file must be gone
 // after the operator dies, whether the pipeline succeeded, threw
 // mid-stream, or was abandoned early by a Limit.
@@ -123,16 +123,14 @@ TEST_F(SpillTest, SpilledSortBitIdenticalToInMemory) {
   Table t = MakeMessy(10000);
   const SortSpec spec{0, 1};
 
-  opt::ExecStats mem_stats;
-  OpPtr mem = Sort(Scan(&t), spec, &mem_stats);
-  Table expect = Drain(mem.get(), &mem_stats);
+  const Table expect = engine::SortBy(t, spec);
 
   opt::ExecStats stats;
   {
     SortOptions so;
     so.memory_budget_rows = 64;
     so.temp_dir = dir_.string();
-    OpPtr op = ExternalSort(Scan(&t), spec, so, &stats);
+    OpPtr op = Sort(Scan(&t), spec, so, &stats);
     Table got = Drain(op.get(), &stats);
     EXPECT_TRUE(TablesBitIdentical(expect, got));
     EXPECT_TRUE(engine::IsSortedBy(got, spec));
@@ -150,7 +148,7 @@ TEST_F(SpillTest, LargeBudgetNeverTouchesDisk) {
   SortOptions so;
   so.memory_budget_rows = 1 << 20;
   so.temp_dir = dir_.string();
-  OpPtr op = ExternalSort(Scan(&t), SortSpec{0}, so, &stats);
+  OpPtr op = Sort(Scan(&t), SortSpec{0}, so, &stats);
   Table got = Drain(op.get(), &stats);
   EXPECT_TRUE(engine::IsSortedBy(got, SortSpec{0}));
   EXPECT_EQ(stats.spills, 0);
@@ -166,7 +164,7 @@ TEST_F(SpillTest, OrderedInputElidesTheSortEntirely) {
   SortOptions so;
   so.memory_budget_rows = 8;  // would spill ~250 runs if it buffered
   so.temp_dir = dir_.string();
-  OpPtr op = ExternalSort(IndexRangeScan(&index), SortSpec{0}, so, &stats);
+  OpPtr op = Sort(IndexRangeScan(&index), SortSpec{0}, so, &stats);
   Table got = Drain(op.get(), &stats);
   EXPECT_TRUE(engine::IsSortedBy(got, SortSpec{0}));
   EXPECT_EQ(stats.sorts, 0);
@@ -184,7 +182,7 @@ TEST_F(SpillTest, TempFilesCleanedOnMidPipelineException) {
     so.temp_dir = dir_.string();
     // 16-row child batches, 64-row budget: runs spill every 4 batches;
     // the child then dies on batch 40, well after the first spills.
-    OpPtr op = ExternalSort(
+    OpPtr op = Sort(
         std::make_unique<ThrowAfter>(Scan(&t, nullptr, /*batch_rows=*/16),
                                      /*batches_before_throw=*/40),
         SortSpec{0}, so, &stats);
@@ -202,8 +200,7 @@ TEST_F(SpillTest, TempFilesCleanedOnEarlyLimitExit) {
     SortOptions so;
     so.memory_budget_rows = 64;
     so.temp_dir = dir_.string();
-    OpPtr op =
-        Limit(ExternalSort(Scan(&t), SortSpec{0}, so, &stats), /*n=*/5);
+    OpPtr op = Limit(Sort(Scan(&t), SortSpec{0}, so, &stats), /*n=*/5);
     Table got = Drain(op.get(), &stats);
     EXPECT_EQ(got.num_rows(), 5);
     // The limit stopped pulling long before the merge finished.
@@ -220,9 +217,7 @@ TEST_F(SpillTest, ParallelRunPrepBitIdenticalToSerial) {
   Table t = MakeMessy(20000);
   const SortSpec spec{0, 1};
 
-  opt::ExecStats mem_stats;
-  OpPtr mem = Sort(Scan(&t), spec, &mem_stats);
-  Table expect = Drain(mem.get(), &mem_stats);
+  const Table expect = engine::SortBy(t, spec);
 
   common::ThreadPool pool(4);
   opt::ExecStats stats;
@@ -231,7 +226,7 @@ TEST_F(SpillTest, ParallelRunPrepBitIdenticalToSerial) {
     so.memory_budget_rows = 64;  // ~313 runs: far past the fan-in of 8
     so.temp_dir = dir_.string();
     so.pool = &pool;
-    OpPtr op = ExternalSort(Scan(&t), spec, so, &stats);
+    OpPtr op = Sort(Scan(&t), spec, so, &stats);
     Table got = Drain(op.get(), &stats);
     EXPECT_TRUE(TablesBitIdentical(expect, got));
   }
@@ -241,8 +236,8 @@ TEST_F(SpillTest, ParallelRunPrepBitIdenticalToSerial) {
 
 TEST_F(SpillTest, PlannerSpillKnobMatchesInMemoryPlan) {
   // SELECT * FROM taxes ORDER BY bracket, tax with no index and no ODs:
-  // the planner must place a Sort; with a spill budget it compiles to the
-  // external sort and the result is still bit-identical.
+  // the planner must place a Sort; with a spill budget that Sort spills
+  // runs, and the result is still bit-identical.
   Table taxes = warehouse::GenerateTaxTable(/*num_rows=*/6000,
                                             /*max_income=*/250000, /*seed=*/3);
   opt::LogicalQuery q = warehouse::TaxOrderByQuery(&taxes, /*index=*/nullptr,

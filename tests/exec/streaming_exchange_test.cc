@@ -202,8 +202,8 @@ TEST_F(StreamingExchangeTest, ProducerFailureCancelsAndCleansSpills) {
           SortOptions so;
           so.memory_budget_rows = 16;
           so.temp_dir = dir_.string();
-          return ExternalSort(std::move(scan), SortSpec{0}, so, fs,
-                              /*batch_rows=*/8);
+          return Sort(std::move(scan), SortSpec{0}, so, fs,
+                      /*batch_rows=*/8);
         },
         MergeMode::kUnion, SortSpec{}, pool_.get(), &stats, /*batch_rows=*/8);
     EXPECT_THROW(Drain(op.get(), &stats), std::runtime_error);

@@ -166,6 +166,42 @@ TEST_F(DateExplainAnalyzeTest, ParallelRunExportsFragmentSpansPerLane) {
   tracer.Clear();
 }
 
+TEST_F(DateExplainAnalyzeTest, SerialBlindPlanChargesItsEnforcers) {
+  // OD-blind daily sales at dop 1 pays all three enforcers — hash join,
+  // hash aggregate, sort — with no fragments, and the join node's time
+  // includes its build, which runs inside the join's first Next.
+  PhysicalPlan plan = PlanQuery(warehouse::DailySalesQuery(
+      &fact_, &dim_, index_.get(), parts_.get(), /*dim_ods=*/nullptr,
+      kStartYear + 1));
+  const PhysicalNode* join = &plan.root();
+  while (join->kind != PhysicalNode::Kind::kHashJoin) {
+    ASSERT_FALSE(join->children.empty()) << plan.Explain();
+    join = join->children[0].get();
+  }
+  ASSERT_TRUE(Mentions(plan.Explain(), "HashAggregate")) << plan.Explain();
+
+  common::Tracer& tracer = common::Tracer::Global();
+  tracer.Clear();
+  tracer.Enable();
+  ExecStats stats;
+  const std::string report = ExplainAnalyze(plan, &stats);
+  tracer.Disable();
+
+  EXPECT_EQ(stats.fragments, 0);
+  EXPECT_EQ(stats.joins, 1);
+  EXPECT_EQ(stats.sorts, 1);
+  EXPECT_EQ(stats.sorts_elided, 0);
+  const PhysicalNode& probe = *join->children[0];
+  const PhysicalNode& build = *join->children[1];
+  EXPECT_EQ(build.actual_rows, 365);
+  EXPECT_GT(build.actual_ns, 0);
+  EXPECT_GE(join->actual_ns, probe.actual_ns + build.actual_ns) << report;
+#if OD_TRACE_ENABLED
+  EXPECT_FALSE(Mentions(tracer.ExportChromeTrace(), "\"exchange.fragment\""));
+#endif
+  tracer.Clear();
+}
+
 TEST_F(DateExplainAnalyzeTest, LiveRegistrySnapshotRoundTripsBothFormats) {
   // Execute a real query so the registry holds engine-written metrics
   // (prover searches, planner enumerations, discovery counters from other

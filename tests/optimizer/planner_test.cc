@@ -1,12 +1,14 @@
 // The cost-based physical planner: enforcer elision must be *proven* (OD
 // reasoning), every chosen plan must agree with a reference computed by the
-// engine:: kernels, and the order-aware warehouse queries must execute with
-// zero sorts when the ODs hold.
+// engine:: kernels, the order-aware warehouse queries must execute with
+// zero sorts when the ODs hold, and compiled plans keep their batches
+// within PlanOptions::batch_rows.
 
 #include "optimizer/planner.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 
 #include "engine/index.h"
@@ -41,6 +43,25 @@ Table EngineReference(const Table& fact, const Table& dim,
       engine::HashJoin(fact, q.fact_date_sk,
                        engine::Filter(dim, q.dim_predicates), q.dim_date_sk),
       q.fact_group_cols, q.fact_aggs);
+}
+
+/// Drains `plan` batch by batch, failing on any batch over `batch_rows`
+/// rows; returns the rows and counts the batches into `*batches`.
+Table DrainInBatchesOf(const PhysicalPlan& plan, int64_t batch_rows,
+                       int64_t* batches) {
+  exec::OpPtr op = plan.Compile(nullptr);
+  Table out(op->schema());
+  exec::Batch b;
+  *batches = 0;
+  while (op->Next(&b)) {
+    EXPECT_LE(b.num_rows(), batch_rows);
+    ++*batches;
+    for (int c = 0; c < out.num_columns(); ++c) {
+      out.col(c).AppendRange(b.col(c), 0, b.num_rows());
+    }
+    out.SetRowCount(out.num_rows() + b.num_rows());
+  }
+  return out;
 }
 
 class TaxPlannerTest : public ::testing::Test {
@@ -118,6 +139,34 @@ TEST_F(TaxPlannerTest, TopKUnderLimit) {
   for (int64_t i = 0; i < 50; ++i) {
     EXPECT_EQ(out.col(t.bracket).Int(i), full.col(t.bracket).Int(i));
   }
+}
+
+TEST_F(TaxPlannerTest, TopKAndHashAggregateHonorBatchRows) {
+  const warehouse::TaxColumns t;
+  PlanOptions opts;
+  opts.batch_rows = 3;
+  int64_t batches = 0;
+
+  LogicalQuery top = warehouse::TaxOrderByQuery(&taxes_, /*index=*/nullptr,
+                                                /*tax_ods=*/nullptr);
+  top.limit = 50;
+  PhysicalPlan top_plan = PlanQuery(top, CostModel(), opts);
+  ASSERT_EQ(top_plan.root().kind, PhysicalNode::Kind::kTopK);
+  Table got = DrainInBatchesOf(top_plan, 3, &batches);
+  EXPECT_TRUE(engine::SameRowMultiset(PlanQuery(top).Execute(nullptr), got));
+
+  LogicalQuery agg;
+  agg.name = "tax_count_by_bracket";
+  agg.tables.push_back(TableRef{"taxes", &taxes_});
+  agg.group_cols = {t.bracket};
+  agg.aggs = {{AggSpec::Kind::kCount, 0, "cnt"},
+              {AggSpec::Kind::kAvg, t.tax, "avg_tax"}};
+  PhysicalPlan agg_plan = PlanQuery(agg, CostModel(), opts);
+  ASSERT_EQ(agg_plan.root().kind, PhysicalNode::Kind::kHashAgg);
+  got = DrainInBatchesOf(agg_plan, 3, &batches);
+  const Table want = engine::HashGroupBy(taxes_, agg.group_cols, agg.aggs);
+  ASSERT_GT(want.num_rows(), 3);
+  EXPECT_TRUE(engine::SameRowMultiset(want, got));
 }
 
 class DatePlannerTest : public ::testing::Test {
@@ -272,6 +321,56 @@ TEST_F(DatePlannerTest, KeptJoinPrefersMergeWhenOrderIsProvided) {
   EXPECT_EQ(stats.sorts, 0);  // fact side proven; dim side already sorted
   EXPECT_TRUE(engine::IsSortedBy(out, {0}));
   EXPECT_EQ(out.num_rows(), dim_.num_rows());
+}
+
+TEST_F(DatePlannerTest, StreamAggregateFillsItsBatches) {
+  // The OD-aware daily report is one StreamAggregate over the index range.
+  // Its batches fill to batch_rows groups: 365 groups take
+  // ⌈365 / batch_rows⌉ batches (one more allowed), not one per input
+  // batch.
+  LogicalQuery q = warehouse::DailySalesQuery(
+      &fact_, &dim_, index_.get(), parts_.get(), dim_ods_, kStartYear + 1);
+  const Table want = PlanQuery(q).Execute(nullptr);
+  ASSERT_EQ(want.num_rows(), 365);
+  for (int64_t batch_rows : {int64_t{1}, int64_t{16}, int64_t{4096}}) {
+    PlanOptions opts;
+    opts.batch_rows = batch_rows;
+    PhysicalPlan plan = PlanQuery(q, CostModel(), opts);
+    ASSERT_EQ(plan.root().kind, PhysicalNode::Kind::kStreamAgg);
+    int64_t batches = 0;
+    Table got = DrainInBatchesOf(plan, batch_rows, &batches);
+    EXPECT_LE(batches, (365 + batch_rows - 1) / batch_rows + 1)
+        << "batch_rows=" << batch_rows;
+    EXPECT_TRUE(engine::SameRowMultiset(want, got));
+  }
+}
+
+TEST(PlannerBatchRowsTest, MergeJoinPausesInsideARun) {
+  // Both sides claim key order, so the join merges; every left key meets a
+  // 5-row right run, which a 3-row batch must split.
+  Schema s;
+  s.Add("k", DataType::kInt64);
+  s.Add("x", DataType::kInt64);
+  Table left(s), right(s);
+  for (int64_t i = 0; i < 200; ++i) left.AppendRow({Value(i / 4), Value(i)});
+  for (int64_t i = 0; i < 100; ++i) right.AppendRow({Value(i / 5), Value(i)});
+  left = engine::SortBy(left, {0});
+  right = engine::SortBy(right, {0});
+  LogicalQuery q;
+  q.name = "merge_runs";
+  q.tables.push_back(TableRef{"l", &left});
+  q.tables.push_back(TableRef{"r", &right});
+  q.joins.push_back(JoinClause{1, 0, 0});
+  PlanOptions opts;
+  opts.batch_rows = 3;
+  PhysicalPlan plan = PlanQuery(q, CostModel(), opts);
+  ASSERT_EQ(plan.root().kind, PhysicalNode::Kind::kMergeJoin);
+  int64_t batches = 0;
+  Table got = DrainInBatchesOf(plan, 3, &batches);
+  const Table want = engine::SortMergeJoin(left, 0, right, 0,
+                                           /*assume_sorted=*/true);
+  ASSERT_EQ(want.num_rows(), 20 * 4 * 5);
+  EXPECT_TRUE(engine::SameRowMultiset(want, got));
 }
 
 TEST_F(DatePlannerTest, PartitionPruningWithoutIndex) {
