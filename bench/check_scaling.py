@@ -7,7 +7,10 @@ sweeps show no speedup), so absolute-time comparison cannot enforce
 scaling. This gate is self-relative instead: run the threaded benches on
 the machine under test with JSON output, then assert that for every
 benchmark family matched by --require, the BEST threaded entry is at least
---min-speedup times faster than its threads=1 entry.
+--min-speedup times faster than its threads=1 entry. A benchmark run
+with --benchmark_repetitions=N contributes N entries per (family, thread
+count); the gate reads their median, so one noisy repetition cannot pass
+or fail it. A single run is its own median.
 
 Usage (what CI does):
   ./build/bench/bench_parallel_prover --benchmark_format=json \
@@ -24,12 +27,14 @@ import argparse
 import json
 import os
 import re
+import statistics
 import sys
 
 
 def load_families(paths):
-    """{family name: {thread count: real_time ns}} across the given JSONs."""
-    families = {}
+    """{family name: {thread count: median real_time ns}} across the given
+    JSONs, the median taken over every repetition of that entry."""
+    runs = {}
     suffix = re.compile(r"^(?P<family>.+?)/(?:threads:)?(?P<arg>\d+)"
                         r"(?P<rest>/real_time)?$")
     for path in paths:
@@ -43,9 +48,11 @@ def load_families(paths):
                 continue
             unit = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}[
                 b.get("time_unit", "ns")]
-            families.setdefault(m.group("family"), {})[int(m.group("arg"))] = (
-                b["real_time"] * unit)
-    return families
+            runs.setdefault(m.group("family"), {}).setdefault(
+                int(m.group("arg")), []).append(b["real_time"] * unit)
+    return {family: {t: statistics.median(times)
+                     for t, times in by_threads.items()}
+            for family, by_threads in runs.items()}
 
 
 def main():

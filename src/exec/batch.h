@@ -11,7 +11,8 @@ namespace exec {
 
 /// Target batch granularity of the streaming executor: large enough to
 /// amortize virtual dispatch and keep column slices vectorizable, small
-/// enough that a pipeline's working set stays cache-resident.
+/// enough that a pipeline's working set stays cache-resident. Every exec
+/// factory taking a `batch_rows` throws std::invalid_argument below 1.
 inline constexpr int64_t kDefaultBatchRows = 4096;
 
 /// A column-chunk batch: the unit of data flow between streaming operators.

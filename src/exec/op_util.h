@@ -66,6 +66,11 @@ void CheckColumn(const engine::Schema& s, engine::ColumnId c, const char* op);
 void CheckColumns(const engine::Schema& s,
                   const std::vector<engine::ColumnId>& cols, const char* op);
 
+/// Rejects a batch size below 1: at 0 a scan emits empty batches forever
+/// (Next true, no rows), and a negative one breaks row arithmetic. Throws
+/// std::invalid_argument naming `op`.
+void CheckBatchRows(int64_t batch_rows, const char* op);
+
 /// Renders a sort spec or column list as "[a, b, c]" (error messages).
 std::string SpecString(const engine::SortSpec& spec);
 

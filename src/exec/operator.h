@@ -2,6 +2,7 @@
 #define OD_EXEC_OPERATOR_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -81,44 +82,36 @@ using OpPtr = std::unique_ptr<Operator>;
 // ---------------------------------------------------------------------------
 // Leaf scans. `stats` (nullable) receives rows_scanned / partitions_scanned.
 
-/// Streams `table` in physical row order, `batch_rows` rows per batch.
-/// Carries the table's ordering property.
+/// A half-open range [first, second) of a scan's units — table rows, index
+/// key-order positions or partitions — clamped to the input. A contiguous
+/// slice is one morsel of a parallel scan; the default is the whole input.
+using UnitRange = std::pair<int64_t, int64_t>;
+inline constexpr UnitRange kAllUnits{0, std::numeric_limits<int64_t>::max()};
+
+/// Streams rows `rows` of `table` in physical row order, `batch_rows` rows
+/// per batch. Carries the table's ordering property (a contiguous slice
+/// inherits it).
 OpPtr Scan(const engine::Table* table, opt::ExecStats* stats = nullptr,
-           int64_t batch_rows = kDefaultBatchRows);
+           int64_t batch_rows = kDefaultBatchRows, UnitRange rows = kAllUnits);
 
-/// Streams rows [row_begin, row_end) of `table` — one morsel of a
-/// partition-parallel scan. A contiguous slice inherits the table's
-/// ordering property.
-OpPtr ScanRange(const engine::Table* table, int64_t row_begin,
-                int64_t row_end, opt::ExecStats* stats = nullptr,
-                int64_t batch_rows = kDefaultBatchRows);
-
-/// Streams `index` in key order, optionally restricted to leading-key
-/// values in [range.first, range.second]. Ordering property: the index key.
+/// Streams key-order positions `positions` of `index`; a value range of the
+/// leading key maps to its positions through OrderedIndex::PositionRange.
+/// Ordering property: the index key (every contiguous position slice is
+/// sorted by it).
 OpPtr IndexRangeScan(const engine::OrderedIndex* index,
-                     std::optional<std::pair<int64_t, int64_t>> range =
-                         std::nullopt,
+                     UnitRange positions = kAllUnits,
                      opt::ExecStats* stats = nullptr,
                      int64_t batch_rows = kDefaultBatchRows);
 
-/// Streams index positions [pos_begin, pos_end) in key order — one morsel
-/// of a parallel ordered scan. Ordering property: the index key (each
-/// contiguous position slice is sorted by it).
-OpPtr IndexPositionScan(const engine::OrderedIndex* index, int64_t pos_begin,
-                        int64_t pos_end, opt::ExecStats* stats = nullptr,
-                        int64_t batch_rows = kDefaultBatchRows);
-
-/// Streams a partitioned table partition-by-partition; with a range,
-/// non-overlapping partitions are pruned (never touched) and rows of the
-/// boundary partitions are filtered to the range. `part_begin`/`part_end`
-/// (-1 = all) restrict the scan to a subrange of partition indices — the
-/// morsel unit of a partition-parallel scan.
+/// Streams partitions `parts` of a partitioned table partition-by-partition;
+/// with a range, non-overlapping partitions are pruned (never touched) and
+/// rows of the boundary partitions are filtered to the range.
 OpPtr PartitionedScan(const engine::PartitionedTable* table,
                       std::optional<std::pair<int64_t, int64_t>> range =
                           std::nullopt,
                       opt::ExecStats* stats = nullptr,
                       int64_t batch_rows = kDefaultBatchRows,
-                      int part_begin = -1, int part_end = -1);
+                      UnitRange parts = kAllUnits);
 
 // ---------------------------------------------------------------------------
 // Order-preserving streaming operators.
@@ -178,14 +171,12 @@ struct SortOptions {
   /// are removed when the operator is destroyed — on success, on a
   /// mid-pipeline exception, and on early exit alike.
   std::string temp_dir;
-  /// Scheduler for run preparation and the merge phase. When set (and
-  /// multi-threaded), each full run's sort + disk write becomes a task —
-  /// the consumer thread keeps draining the child while earlier runs spill
-  /// in the background — and a spill with more runs than the merge fan-in
-  /// pre-merges contiguous run groups in parallel. Results are
-  /// row-identical to the serial spill: runs are cut in input order, heap
-  /// ties break on run index, and contiguous grouping preserves that
-  /// tiebreak through the pre-merge. Null: everything on the caller.
+  /// Scheduler for run preparation. When set (and multi-threaded), each
+  /// full run's sort + disk write becomes a task — the consumer thread
+  /// keeps draining the child while earlier runs spill in the background.
+  /// The runs then merge in one pass on the consumer, row-identical to the
+  /// serial spill: runs are cut in input order and heap ties break on run
+  /// index. Null: everything on the caller.
   common::ThreadPool* pool = nullptr;
 };
 
@@ -220,13 +211,15 @@ OpPtr HashAggregate(OpPtr child, std::vector<engine::ColumnId> group_cols,
                     int64_t batch_rows = kDefaultBatchRows);
 
 /// Hash join: on the first Next, drains the right (build) child into a
-/// hash table, then streams the left (probe) child batch-at-a-time — only
-/// the build side breaks the pipeline. Int64 keys (the star-schema
-/// surrogate keys). Preserves the left child's ordering. The serial form
-/// of HashProbe: the same operator, with the table built by the join
-/// itself rather than shared by exchange fragments.
+/// hash table, then streams the left (probe) child — only the build side
+/// breaks the pipeline. Int64 keys (the star-schema surrogate keys).
+/// Preserves the left child's ordering. Emits at most `batch_rows` rows per
+/// batch, pausing inside a probe row's matches when the batch fills. The
+/// serial form of HashProbe: the same operator, with the table built by the
+/// join itself rather than shared by exchange fragments.
 OpPtr HashJoin(OpPtr left, engine::ColumnId left_key, OpPtr right,
                engine::ColumnId right_key, opt::ExecStats* stats = nullptr,
+               int64_t batch_rows = kDefaultBatchRows,
                const std::string& right_prefix = "r_");
 
 // ---------------------------------------------------------------------------

@@ -37,13 +37,14 @@ bool MatchesBatch(const Predicate& p, const Batch& b, int64_t row) {
 
 class ScanOp : public Operator {
  public:
-  ScanOp(const Table* table, int64_t row_begin, int64_t row_end,
-         opt::ExecStats* stats, int64_t batch_rows)
+  ScanOp(const Table* table, UnitRange rows, opt::ExecStats* stats,
+         int64_t batch_rows)
       : table_(table),
         stats_(stats),
         batch_rows_(batch_rows),
-        pos_(std::max<int64_t>(0, row_begin)),
-        end_(std::min(table->num_rows(), row_end)) {
+        pos_(std::max<int64_t>(0, rows.first)),
+        end_(std::min(table->num_rows(), rows.second)) {
+    CheckBatchRows(batch_rows_, "exec::Scan");
     schema_ = table->schema();
     ordering_ = table->ordering();
   }
@@ -69,16 +70,16 @@ class ScanOp : public Operator {
   int64_t end_ = 0;
 };
 
-/// Streams positions [pos_begin, pos_end) of the index's key order.
 class IndexRangeScanOp : public Operator {
  public:
-  IndexRangeScanOp(const engine::OrderedIndex* index, int64_t pos_begin,
-                   int64_t pos_end, opt::ExecStats* stats, int64_t batch_rows)
+  IndexRangeScanOp(const engine::OrderedIndex* index, UnitRange positions,
+                   opt::ExecStats* stats, int64_t batch_rows)
       : index_(index),
         stats_(stats),
         batch_rows_(batch_rows),
-        pos_(std::max<int64_t>(0, pos_begin)),
-        end_(std::min(index->num_rows(), pos_end)) {
+        pos_(std::max<int64_t>(0, positions.first)),
+        end_(std::min(index->num_rows(), positions.second)) {
+    CheckBatchRows(batch_rows_, "exec::IndexRangeScan");
     schema_ = index->table().schema();
     ordering_ = index->key();
   }
@@ -111,17 +112,14 @@ class PartitionedScanOp : public Operator {
  public:
   PartitionedScanOp(const engine::PartitionedTable* table,
                     std::optional<std::pair<int64_t, int64_t>> range,
-                    opt::ExecStats* stats, int64_t batch_rows, int part_begin,
-                    int part_end)
+                    opt::ExecStats* stats, int64_t batch_rows, UnitRange parts)
       : table_(table),
         range_(range),
         stats_(stats),
         batch_rows_(batch_rows),
-        part_(part_begin < 0 ? 0 : std::min(part_begin,
-                                            table->num_partitions())),
-        part_end_(part_end < 0 ? table->num_partitions()
-                               : std::min(part_end,
-                                          table->num_partitions())) {
+        part_(std::max<int64_t>(0, parts.first)),
+        part_end_(std::min<int64_t>(table->num_partitions(), parts.second)) {
+    CheckBatchRows(batch_rows_, "exec::PartitionedScan");
     schema_ = table->num_partitions() > 0 ? table->partition(0).schema()
                                           : Schema();
   }
@@ -173,8 +171,8 @@ class PartitionedScanOp : public Operator {
   std::optional<std::pair<int64_t, int64_t>> range_;
   opt::ExecStats* stats_;
   int64_t batch_rows_;
-  int part_ = 0;
-  int part_end_ = 0;
+  int64_t part_ = 0;
+  int64_t part_end_ = 0;
   int64_t row_ = 0;
 };
 
@@ -260,6 +258,7 @@ class StreamAggregateOp : public Operator {
         aggs_(std::move(aggs)),
         batch_rows_(batch_rows),
         accs_(aggs_.size()) {
+    CheckBatchRows(batch_rows_, "exec::StreamAggregate");
     CheckColumns(child_->schema(), group_cols_, "exec::StreamAggregate");
     for (const auto& a : aggs_) {
       if (a.kind != AggSpec::Kind::kCount) {
@@ -377,6 +376,7 @@ class MergeJoinOp : public Operator {
         right_key_(right_key),
         stats_(stats),
         batch_rows_(batch_rows) {
+    CheckBatchRows(batch_rows_, "exec::MergeJoin");
     CheckColumn(left_hold_->schema(), left_key_, "exec::MergeJoin (left key)");
     CheckColumn(right_hold_->schema(), right_key_,
                 "exec::MergeJoin (right key)");
@@ -507,6 +507,7 @@ class TopKOp : public Operator {
          int64_t batch_rows)
       : child_(std::move(child)), spec_(std::move(spec)), k_(k),
         stats_(stats), batch_rows_(batch_rows) {
+    CheckBatchRows(batch_rows_, "exec::TopK");
     CheckColumns(child_->schema(), spec_, "exec::TopK");
     schema_ = child_->schema();
     ordering_ = spec_;
@@ -600,6 +601,14 @@ void CheckColumns(const Schema& s, const std::vector<ColumnId>& cols,
   for (ColumnId c : cols) CheckColumn(s, c, op);
 }
 
+void CheckBatchRows(int64_t batch_rows, const char* op) {
+  if (batch_rows < 1) {
+    throw std::invalid_argument(std::string(op) +
+                                ": batch_rows must be >= 1, got " +
+                                std::to_string(batch_rows));
+  }
+}
+
 std::string SpecString(const SortSpec& spec) {
   std::string out = "[";
   for (size_t i = 0; i < spec.size(); ++i) {
@@ -654,42 +663,23 @@ bool EmitTableSlice(const Table& t, int64_t* pos, int64_t batch_rows,
 // ---------------------------------------------------------------------------
 // Factories.
 
-OpPtr Scan(const Table* table, opt::ExecStats* stats, int64_t batch_rows) {
-  return std::make_unique<ScanOp>(table, 0, table->num_rows(), stats,
-                                  batch_rows);
+OpPtr Scan(const Table* table, opt::ExecStats* stats, int64_t batch_rows,
+           UnitRange rows) {
+  return std::make_unique<ScanOp>(table, rows, stats, batch_rows);
 }
 
-OpPtr ScanRange(const Table* table, int64_t row_begin, int64_t row_end,
-                opt::ExecStats* stats, int64_t batch_rows) {
-  return std::make_unique<ScanOp>(table, row_begin, row_end, stats,
-                                  batch_rows);
-}
-
-OpPtr IndexRangeScan(const engine::OrderedIndex* index,
-                     std::optional<std::pair<int64_t, int64_t>> range,
+OpPtr IndexRangeScan(const engine::OrderedIndex* index, UnitRange positions,
                      opt::ExecStats* stats, int64_t batch_rows) {
-  int64_t begin = 0;
-  int64_t end = index->num_rows();
-  if (range.has_value()) {
-    std::tie(begin, end) = index->PositionRange(range->first, range->second);
-  }
-  return std::make_unique<IndexRangeScanOp>(index, begin, end, stats,
-                                            batch_rows);
-}
-
-OpPtr IndexPositionScan(const engine::OrderedIndex* index, int64_t pos_begin,
-                        int64_t pos_end, opt::ExecStats* stats,
-                        int64_t batch_rows) {
-  return std::make_unique<IndexRangeScanOp>(index, pos_begin, pos_end, stats,
+  return std::make_unique<IndexRangeScanOp>(index, positions, stats,
                                             batch_rows);
 }
 
 OpPtr PartitionedScan(const engine::PartitionedTable* table,
                       std::optional<std::pair<int64_t, int64_t>> range,
                       opt::ExecStats* stats, int64_t batch_rows,
-                      int part_begin, int part_end) {
+                      UnitRange parts) {
   return std::make_unique<PartitionedScanOp>(table, range, stats, batch_rows,
-                                             part_begin, part_end);
+                                             parts);
 }
 
 OpPtr Filter(OpPtr child, std::vector<Predicate> preds) {

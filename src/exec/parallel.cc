@@ -8,6 +8,7 @@
 #include <queue>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "common/metrics.h"
@@ -172,6 +173,7 @@ class ExchangeOp : public Operator {
         batch_rows_(batch_rows),
         num_fragments_(num_fragments),
         factory_(std::move(factory)) {
+    CheckBatchRows(batch_rows_, "exec::Exchange");
     if (num_fragments_ < 1) {
       throw std::invalid_argument("exec::Exchange: need >= 1 fragment");
     }
@@ -453,6 +455,7 @@ class HashAggregateOp : public Operator {
         num_fragments_(num_fragments),
         factory_(std::move(factory)),
         frag0_(std::move(child)) {
+    CheckBatchRows(batch_rows_, "exec::HashAggregate");
     if (num_fragments_ < 1) {
       throw std::invalid_argument("exec::HashAggregate: need >= 1 fragment");
     }
@@ -765,14 +768,16 @@ class HashJoinOp : public Operator {
   /// operator's Next (EXPLAIN ANALYZE charges it to the join node).
   HashJoinOp(OpPtr probe, ColumnId probe_key,
              std::shared_ptr<const SharedHashTable> table, OpPtr build,
-             ColumnId build_key, opt::ExecStats* stats,
+             ColumnId build_key, opt::ExecStats* stats, int64_t batch_rows,
              const std::string& right_prefix)
       : probe_(std::move(probe)),
         probe_key_(probe_key),
         table_(std::move(table)),
         build_(std::move(build)),
         build_key_(build_key),
-        stats_(stats) {
+        stats_(stats),
+        batch_rows_(batch_rows) {
+    CheckBatchRows(batch_rows_, "exec::HashJoin");
     if (table_ == nullptr && build_ == nullptr) {
       throw std::invalid_argument("exec::HashJoin: null build table");
     }
@@ -789,41 +794,53 @@ class HashJoinOp : public Operator {
     probe_cols_ = probe_->schema().num_columns();
   }
 
+  /// Fills `out` to batch_rows matches. A full batch returns mid-row:
+  /// [match_, match_end_) keeps the build rows still owed to probe row
+  /// row_ - 1 of scratch_.
   bool Next(Batch* out) override {
     out->Prepare(schema_);
     if (table_ == nullptr) {
       table_ = BuildSharedHash(std::move(build_), build_key_, nullptr);
     }
-    while (out->empty()) {
-      if (!probe_->Next(&scratch_)) return false;
-      for (int64_t l = 0; l < scratch_.num_rows(); ++l) {
-        auto [begin, end] =
-            table_->index.equal_range(scratch_.col(probe_key_).Int(l));
-        for (auto it = begin; it != end; ++it) {
-          for (int c = 0; c < probe_cols_; ++c) {
-            out->col(c).AppendFrom(scratch_.col(c), l);
-          }
-          for (int c = 0; c < table_->rows.num_columns(); ++c) {
-            out->col(probe_cols_ + c)
-                .AppendFrom(table_->rows.col(c), it->second);
-          }
-          out->FinishRow();
-          if (stats_ != nullptr) ++stats_->rows_joined;
+    while (!done_ && out->num_rows() < batch_rows_) {
+      if (match_ != match_end_) {
+        for (int c = 0; c < probe_cols_; ++c) {
+          out->col(c).AppendFrom(scratch_.col(c), row_ - 1);
         }
+        for (int c = 0; c < table_->rows.num_columns(); ++c) {
+          out->col(probe_cols_ + c).AppendFrom(table_->rows.col(c),
+                                               match_->second);
+        }
+        out->FinishRow();
+        ++match_;
+        if (stats_ != nullptr) ++stats_->rows_joined;
+      } else if (row_ < scratch_.num_rows()) {
+        std::tie(match_, match_end_) =
+            table_->index.equal_range(scratch_.col(probe_key_).Int(row_++));
+      } else {
+        row_ = 0;
+        done_ = !probe_->Next(&scratch_);
       }
     }
-    return true;
+    return !out->empty();
   }
 
  private:
+  using Match = decltype(SharedHashTable::index)::const_iterator;
+
   OpPtr probe_;
   ColumnId probe_key_;
   std::shared_ptr<const SharedHashTable> table_;
   OpPtr build_;  // serial form, until the first Next builds table_
   ColumnId build_key_;
   opt::ExecStats* stats_;
+  int64_t batch_rows_;
   int probe_cols_ = 0;
-  Batch scratch_;
+  Batch scratch_;    // the current probe batch
+  int64_t row_ = 0;  // next probe row of scratch_ to look up
+  Match match_{};    // build rows still owed to probe row row_ - 1
+  Match match_end_{};
+  bool done_ = false;
 };
 
 }  // namespace
@@ -874,18 +891,19 @@ std::shared_ptr<const SharedHashTable> BuildSharedHash(
 
 OpPtr HashProbe(OpPtr probe, engine::ColumnId probe_key,
                 std::shared_ptr<const SharedHashTable> table,
-                opt::ExecStats* stats, const std::string& right_prefix) {
+                opt::ExecStats* stats, int64_t batch_rows,
+                const std::string& right_prefix) {
   return std::make_unique<HashJoinOp>(std::move(probe), probe_key,
                                       std::move(table), nullptr, -1, stats,
-                                      right_prefix);
+                                      batch_rows, right_prefix);
 }
 
 OpPtr HashJoin(OpPtr left, engine::ColumnId left_key, OpPtr right,
                engine::ColumnId right_key, opt::ExecStats* stats,
-               const std::string& right_prefix) {
+               int64_t batch_rows, const std::string& right_prefix) {
   return std::make_unique<HashJoinOp>(std::move(left), left_key, nullptr,
                                       std::move(right), right_key, stats,
-                                      right_prefix);
+                                      batch_rows, right_prefix);
 }
 
 }  // namespace exec

@@ -17,8 +17,8 @@ namespace od {
 namespace exec {
 
 /// Builds the pipeline fragment a worker runs over morsel `fragment` of
-/// [0, num_fragments) — e.g. a ScanRange over that fragment's row range,
-/// with the same Filter/Project/probe chain stacked on each. `stats` is a
+/// [0, num_fragments) — e.g. a Scan over that fragment's row range, with
+/// the same Filter/Project/probe chain stacked on each. `stats` is a
 /// *private* per-fragment ExecStats owned by the exchange: workers never
 /// share a counter, the exchange merges them single-threaded after the
 /// fragments join (what keeps the whole layer clean under TSan).
@@ -124,10 +124,12 @@ std::shared_ptr<const SharedHashTable> BuildSharedHash(
 /// Streams `probe`, emitting probe columns then build columns (colliding
 /// names prefixed) for every match in `table` — the per-fragment probe half
 /// of a parallel hash join; the same operator as HashJoin, given its table.
-/// Preserves the probe child's ordering.
+/// Preserves the probe child's ordering; emits at most `batch_rows` rows
+/// per batch.
 OpPtr HashProbe(OpPtr probe, engine::ColumnId probe_key,
                 std::shared_ptr<const SharedHashTable> table,
                 opt::ExecStats* stats = nullptr,
+                int64_t batch_rows = kDefaultBatchRows,
                 const std::string& right_prefix = "r_");
 
 }  // namespace exec

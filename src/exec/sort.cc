@@ -66,6 +66,7 @@ class SortOp : public Operator {
         options_(std::move(options)),
         stats_(stats),
         batch_rows_(batch_rows) {
+    CheckBatchRows(batch_rows_, "exec::Sort");
     CheckColumns(child_->schema(), spec_, "exec::Sort");
     schema_ = child_->schema();
     ordering_ = spec_;
@@ -164,7 +165,6 @@ class SortOp : public Operator {
         ++stats_->sorts_elided;
       }
     }
-    PreMergeRuns();
     if (!files_.empty()) {
       cursors_.resize(files_.size() + 1);
       for (size_t i = 0; i < files_.size(); ++i) {
@@ -206,79 +206,6 @@ class SortOp : public Operator {
     *run = Table(schema_);
   }
 
-  /// When a multi-threaded pool is available and the spill produced more
-  /// runs than the merge fan-in, merge contiguous groups of runs into
-  /// intermediate runs in parallel (each streamed to disk through a
-  /// RunWriter — one chunk per input run resident, never a whole run).
-  /// Row-identical to the flat merge: within a group ties break on the
-  /// local (= global, runs being contiguous) run index, and the final
-  /// merge's group-index tiebreak preserves that across groups.
-  /// Intermediate bytes are operational traffic, not logical spill volume:
-  /// they feed the registry counter but not ExecStats.
-  void PreMergeRuns() {
-    common::ThreadPool* pool = options_.pool;
-    if (pool == nullptr || pool->num_threads() <= 1) return;
-    const int n = static_cast<int>(files_.size());
-    if (n <= kMergeFanIn) return;
-    OD_TRACE_SPAN("sort.pre_merge");
-    const int per = (n + kMergeFanIn - 1) / kMergeFanIn;
-    const int groups = (n + per - 1) / per;
-    std::deque<SpillFile> merged;
-    std::vector<int64_t> bytes(groups, 0);
-    {
-      common::TaskGroup group(pool);
-      for (int g = 0; g < groups; ++g) {
-        merged.emplace_back(options_.temp_dir);
-        const SpillFile* out = &merged.back();
-        const int begin = g * per;
-        const int end = std::min(n, begin + per);
-        int64_t* b = &bytes[g];
-        group.Submit([this, begin, end, out, b] {
-          OD_TRACE_SPAN("sort.merge_runs");
-          *b = MergeRunGroup(begin, end, *out);
-        });
-      }
-      group.Wait();
-    }
-    for (int64_t b : bytes) SpilledBytesCounter().Add(b);
-    files_ = std::move(merged);
-  }
-
-  /// Streams the k-way merge of files_[begin, end) into `out`; returns the
-  /// bytes written.
-  int64_t MergeRunGroup(int begin, int end, const SpillFile& out) const {
-    std::vector<RunCursor> cs(end - begin);
-    for (int i = begin; i < end; ++i) {
-      cs[i - begin].reader = std::make_unique<RunReader>(files_[i]);
-    }
-    auto cmp = [this, &cs](int a, int b) {
-      const int c = Batch::CompareRows(cs[a].cur, cs[a].row, cs[b].cur,
-                                       cs[b].row, spec_);
-      if (c != 0) return c > 0;  // min-heap via "greater"
-      return a > b;              // lower run index first, as in the flat merge
-    };
-    std::priority_queue<int, std::vector<int>, decltype(cmp)> heap(cmp);
-    for (size_t i = 0; i < cs.size(); ++i) {
-      if (cs[i].Refill()) heap.push(static_cast<int>(i));
-    }
-    RunWriter writer(out, schema_);
-    Batch chunk;
-    chunk.Reset(schema_);
-    while (!heap.empty()) {
-      const int i = heap.top();
-      heap.pop();
-      RunCursor& c = cs[i];
-      chunk.AppendRows(c.cur, c.row, c.row + 1);
-      if (c.Advance()) heap.push(i);
-      if (chunk.num_rows() >= batch_rows_) {
-        writer.Append(chunk);
-        chunk.Clear();
-      }
-    }
-    writer.Append(chunk);
-    return writer.Finish();
-  }
-
   bool NextMerged(Batch* out) {
     if (heap_.empty()) return false;
     while (out->num_rows() < batch_rows_ && !heap_.empty()) {
@@ -305,10 +232,6 @@ class SortOp : public Operator {
       return a > b;
     }
   };
-
-  /// Final-merge fan-in: with more spilled runs than this, PreMergeRuns
-  /// collapses contiguous groups in parallel before the streaming merge.
-  static constexpr int kMergeFanIn = 8;
 
   OpPtr child_;
   SortSpec spec_;

@@ -156,35 +156,6 @@ int64_t WriteRun(const engine::Table& run, const SpillFile& file,
   return static_cast<int64_t>(out.tellp());
 }
 
-RunWriter::RunWriter(const SpillFile& file, const engine::Schema& schema)
-    : out_(file.path(), std::ios::binary | std::ios::trunc),
-      path_(file.path()) {
-  if (!out_) {
-    throw std::runtime_error("exec::RunWriter: cannot open " + path_);
-  }
-  WriteRaw(out_, kMagic);
-  WriteRaw(out_, static_cast<int32_t>(schema.num_columns()));
-  for (int c = 0; c < schema.num_columns(); ++c) {
-    WriteRaw(out_, static_cast<int8_t>(schema.col(c).type));
-  }
-}
-
-void RunWriter::Append(const Batch& chunk) {
-  if (chunk.num_rows() == 0) return;
-  WriteRaw(out_, chunk.num_rows());
-  for (int c = 0; c < chunk.num_columns(); ++c) {
-    WriteColumnSlice(out_, chunk.col(c), 0, chunk.num_rows());
-  }
-}
-
-int64_t RunWriter::Finish() {
-  out_.flush();
-  if (!out_) {
-    throw std::runtime_error("exec::RunWriter: write failed on " + path_);
-  }
-  return static_cast<int64_t>(out_.tellp());
-}
-
 RunReader::RunReader(const SpillFile& file)
     : in_(file.path(), std::ios::binary) {
   if (!in_) {

@@ -46,29 +46,6 @@ class SpillFile {
 int64_t WriteRun(const engine::Table& run, const SpillFile& file,
                  int64_t chunk_rows);
 
-/// Streams a run to disk chunk by chunk — same on-disk format as WriteRun,
-/// for writers that never hold the whole run in memory at once (e.g. the
-/// external sort's pre-merged intermediate runs, produced by a k-way merge
-/// that only ever holds one chunk per input run). The file stays owned by
-/// the SpillFile; abandoning a writer mid-run leaves a truncated file that
-/// the SpillFile destructor removes like any other.
-class RunWriter {
- public:
-  /// Opens `file` and writes the run header for `schema`.
-  RunWriter(const SpillFile& file, const engine::Schema& schema);
-
-  /// Writes one row chunk (empty chunks are skipped).
-  void Append(const Batch& chunk);
-
-  /// Flushes and verifies the stream; returns total bytes written. The run
-  /// is only complete once this has returned.
-  int64_t Finish();
-
- private:
-  std::ofstream out_;
-  std::string path_;
-};
-
 /// Streams a spilled run back chunk by chunk.
 class RunReader {
  public:

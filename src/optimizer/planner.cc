@@ -953,113 +953,60 @@ class CountingOp : public exec::Operator {
   const PhysicalNode* node_;
 };
 
+/// What CompileNode needs to compile one exchange fragment instead of the
+/// serial plan: the fragment's morsel — slice `index` of `dop` — and the
+/// template's hash tables, prebuilt by BuildSharedTables and taken in its
+/// pre-order.
+struct Fragment {
+  int index;
+  int dop;
+  const std::vector<std::shared_ptr<const exec::SharedHashTable>>* shared;
+  size_t next_shared = 0;
+
+  /// Slice `index` of `dop` contiguous near-equal slices of `units`.
+  /// Slices past the end come out empty — legal (an empty morsel yields an
+  /// empty stream) and deliberately exercised by the differential tests.
+  exec::UnitRange Morsel(exec::UnitRange units) const {
+    const int64_t total = units.second - units.first;
+    const int64_t base = total / dop;
+    const int64_t rem = total % dop;
+    const int64_t begin =
+        units.first + index * base + std::min<int64_t>(index, rem);
+    return {begin, begin + base + (index < rem ? 1 : 0)};
+  }
+};
+
 exec::OpPtr CompileNode(const PhysicalNode& n,
-                        const std::vector<TableRef>& tables,
-                        ExecStats* stats, const PlanOptions& opts);
+                        const std::vector<TableRef>& tables, ExecStats* stats,
+                        const PlanOptions& opts, Fragment* frag = nullptr);
 
-/// The driving scan at the bottom of a fragment template.
-const PhysicalNode& ChainLeaf(const PhysicalNode& n) {
-  return n.children.empty() ? n : ChainLeaf(*n.children[0]);
-}
-
-/// Splits [0, total) into `dop` contiguous near-equal ranges. Fragments
-/// past `total` come out empty — legal (an empty morsel yields an empty
-/// stream) and deliberately exercised by the differential tests.
-std::vector<std::pair<int64_t, int64_t>> SplitRange(int64_t total, int dop) {
-  std::vector<std::pair<int64_t, int64_t>> out;
-  const int64_t base = total / dop;
-  const int64_t rem = total % dop;
-  int64_t begin = 0;
-  for (int i = 0; i < dop; ++i) {
-    const int64_t len = base + (i < rem ? 1 : 0);
-    out.emplace_back(begin, begin + len);
-    begin += len;
-  }
-  return out;
-}
-
-/// Morsel boundaries for the template's driving scan: row ranges for a
-/// table scan, key-order position ranges for an index scan, partition
-/// index ranges for a partitioned scan.
-std::vector<std::pair<int64_t, int64_t>> MorselRanges(
-    const PhysicalNode& tmpl, const std::vector<TableRef>& tables, int dop) {
-  const PhysicalNode& leaf = ChainLeaf(tmpl);
-  const TableRef& t = tables[leaf.table_index];
-  switch (leaf.kind) {
-    case Kind::kScan:
-      return SplitRange(t.table->num_rows(), dop);
-    case Kind::kIndexScan: {
-      int64_t begin = 0, end = t.index->num_rows();
-      if (leaf.range.has_value()) {
-        std::tie(begin, end) =
-            t.index->PositionRange(leaf.range->first, leaf.range->second);
-      }
-      auto out = SplitRange(end - begin, dop);
-      for (auto& r : out) {
-        r.first += begin;
-        r.second += begin;
-      }
-      return out;
-    }
-    case Kind::kPartitionedScan:
-      return SplitRange(t.partitions->num_partitions(), dop);
-    default:
-      throw std::logic_error("MorselRanges: template leaf is not a scan");
-  }
-}
-
-/// Compiles one worker's copy of a fragment template: the driving scan is
-/// replaced by its morsel (row/position/partition range), hash joins probe
-/// the pre-built shared table, and `stats` is the fragment's *private*
-/// ExecStats. No CountingOp wrappers — actual_rows would be written from
-/// every worker at once; the exchange node above is counted instead.
-exec::OpPtr CompileFragment(
-    const PhysicalNode& n, const std::vector<TableRef>& tables,
-    ExecStats* stats, const PlanOptions& opts,
-    std::pair<int64_t, int64_t> morsel,
-    const std::vector<std::shared_ptr<const exec::SharedHashTable>>& shared,
-    size_t* shared_idx) {
+/// The units scan node `n` covers: all of them — rows of a table scan,
+/// key-order positions of an index scan's value range, partitions of a
+/// partitioned scan — or, inside a fragment, the fragment's morsel.
+exec::UnitRange ScanUnits(const PhysicalNode& n,
+                          const std::vector<TableRef>& tables,
+                          const Fragment* frag) {
+  const TableRef& t = tables[n.table_index];
+  exec::UnitRange all;
   switch (n.kind) {
     case Kind::kScan:
-      return exec::ScanRange(tables[n.table_index].table, morsel.first,
-                             morsel.second, stats, opts.batch_rows);
+      all = {0, t.table->num_rows()};
+      break;
     case Kind::kIndexScan:
-      return exec::IndexPositionScan(tables[n.table_index].index,
-                                     morsel.first, morsel.second, stats,
-                                     opts.batch_rows);
-    case Kind::kPartitionedScan:
-      return exec::PartitionedScan(tables[n.table_index].partitions, n.range,
-                                   stats, opts.batch_rows,
-                                   static_cast<int>(morsel.first),
-                                   static_cast<int>(morsel.second));
-    case Kind::kFilter:
-      return exec::Filter(CompileFragment(*n.children[0], tables, stats,
-                                          opts, morsel, shared, shared_idx),
-                          n.preds);
-    case Kind::kProject:
-      return exec::Project(CompileFragment(*n.children[0], tables, stats,
-                                           opts, morsel, shared, shared_idx),
-                           n.spec);
-    case Kind::kHashJoin: {
-      auto table = shared[(*shared_idx)++];
-      auto probe = CompileFragment(*n.children[0], tables, stats, opts,
-                                   morsel, shared, shared_idx);
-      return exec::HashProbe(std::move(probe), n.left_key, std::move(table),
-                             stats);
-    }
-    case Kind::kStreamAgg:
-      return exec::StreamAggregate(
-          CompileFragment(*n.children[0], tables, stats, opts, morsel,
-                          shared, shared_idx),
-          n.group_cols, n.aggs, opts.batch_rows);
+      all = n.range.has_value()
+                ? t.index->PositionRange(n.range->first, n.range->second)
+                : exec::UnitRange{0, t.index->num_rows()};
+      break;
     default:
-      throw std::logic_error("CompileFragment: node is not fragment-safe");
+      all = {0, t.partitions->num_partitions()};
+      break;
   }
+  return frag == nullptr ? all : frag->Morsel(all);
 }
 
 /// Pre-builds the shared hash tables of every kHashJoin on the template's
-/// driving chain, in the same pre-order CompileFragment consumes them.
-/// Build sides run once, single-threaded, against the main `stats`.
+/// driving chain, in the same pre-order a fragment's CompileNode takes
+/// them. Build sides run once, single-threaded, against the main `stats`.
 void BuildSharedTables(
     const PhysicalNode& n, const std::vector<TableRef>& tables,
     ExecStats* stats, const PlanOptions& opts,
@@ -1074,113 +1021,117 @@ void BuildSharedTables(
   }
 }
 
+/// The factory exchange node `x` builds its fragments with: the template's
+/// shared hash tables are built here, and fragment f compiles the template
+/// through CompileNode over morsel f.
+exec::FragmentFactory FragmentsOf(const PhysicalNode& x,
+                                  const std::vector<TableRef>& tables,
+                                  ExecStats* stats, const PlanOptions& opts) {
+  const PhysicalNode& tmpl = *x.children[0];
+  std::vector<std::shared_ptr<const exec::SharedHashTable>> shared;
+  BuildSharedTables(tmpl, tables, stats, opts, &shared);
+  // Fragments build lazily inside producer tasks, long after this frame is
+  // gone: the factory owns the shared-table handles outright, and refers
+  // only to plan-owned state (template node, tables, options), which
+  // outlives the compiled tree.
+  return [&tmpl, &tables, &opts, dop = x.dop,
+          shared = std::move(shared)](int f, ExecStats* fs) {
+    Fragment frag{f, dop, &shared};
+    return CompileNode(tmpl, tables, fs, opts, &frag);
+  };
+}
+
+/// Compiles `n` and its subtree. In the serial plan every node is wrapped
+/// in a CountingOp. With `frag`, `n` is the template of one exchange
+/// fragment: the driving scan covers its morsel, hash joins probe the
+/// prebuilt shared tables, `stats` is the fragment's private ExecStats, and
+/// no node is counted — actual_rows would be written from every worker at
+/// once; the exchange node above is counted instead.
 exec::OpPtr CompileNode(const PhysicalNode& n,
-                        const std::vector<TableRef>& tables,
-                        ExecStats* stats, const PlanOptions& opts) {
+                        const std::vector<TableRef>& tables, ExecStats* stats,
+                        const PlanOptions& opts, Fragment* frag) {
+  // The fragment context follows the driving chain (first children) only.
+  auto input = [&](size_t i) {
+    return CompileNode(*n.children[i], tables, stats, opts,
+                       i == 0 ? frag : nullptr);
+  };
   exec::OpPtr op;
   switch (n.kind) {
     case Kind::kScan:
-      op = exec::Scan(tables[n.table_index].table, stats, opts.batch_rows);
+      op = exec::Scan(tables[n.table_index].table, stats, opts.batch_rows,
+                      ScanUnits(n, tables, frag));
       break;
     case Kind::kIndexScan:
-      op = exec::IndexRangeScan(tables[n.table_index].index, n.range, stats,
+      op = exec::IndexRangeScan(tables[n.table_index].index,
+                                ScanUnits(n, tables, frag), stats,
                                 opts.batch_rows);
       break;
     case Kind::kPartitionedScan:
       op = exec::PartitionedScan(tables[n.table_index].partitions, n.range,
-                                 stats, opts.batch_rows);
+                                 stats, opts.batch_rows,
+                                 ScanUnits(n, tables, frag));
       break;
     case Kind::kFilter:
-      op = exec::Filter(CompileNode(*n.children[0], tables, stats, opts),
-                        n.preds);
+      op = exec::Filter(input(0), n.preds);
       break;
     case Kind::kProject:
-      op = exec::Project(CompileNode(*n.children[0], tables, stats, opts),
-                         n.spec);
+      op = exec::Project(input(0), n.spec);
       break;
     case Kind::kSort:
-      op = exec::Sort(CompileNode(*n.children[0], tables, stats, opts), n.spec,
+      op = exec::Sort(input(0), n.spec,
                       {opts.spill_budget_rows, opts.spill_dir, opts.pool},
                       stats, opts.batch_rows);
       break;
     case Kind::kTopK:
-      op = exec::TopK(CompileNode(*n.children[0], tables, stats, opts),
-                      n.spec, n.limit, stats, opts.batch_rows);
+      op = exec::TopK(input(0), n.spec, n.limit, stats, opts.batch_rows);
       break;
     case Kind::kLimit:
-      op = exec::Limit(CompileNode(*n.children[0], tables, stats, opts),
-                       n.limit);
+      op = exec::Limit(input(0), n.limit);
       break;
     case Kind::kStreamAgg:
-      op = exec::StreamAggregate(
-          CompileNode(*n.children[0], tables, stats, opts), n.group_cols,
-          n.aggs, opts.batch_rows);
+      op = exec::StreamAggregate(input(0), n.group_cols, n.aggs,
+                                 opts.batch_rows);
       break;
     case Kind::kHashAgg:
-      op = exec::HashAggregate(
-          CompileNode(*n.children[0], tables, stats, opts), n.group_cols,
-          n.aggs, opts.batch_rows);
+      op = exec::HashAggregate(input(0), n.group_cols, n.aggs,
+                               opts.batch_rows);
       break;
     case Kind::kMergeJoin:
-      op = exec::MergeJoin(CompileNode(*n.children[0], tables, stats, opts),
-                           n.left_key,
-                           CompileNode(*n.children[1], tables, stats, opts),
-                           n.right_key, stats, opts.batch_rows);
+      op = exec::MergeJoin(input(0), n.left_key, input(1), n.right_key, stats,
+                           opts.batch_rows);
       break;
     case Kind::kHashJoin:
-      op = exec::HashJoin(CompileNode(*n.children[0], tables, stats, opts),
-                          n.left_key,
-                          CompileNode(*n.children[1], tables, stats, opts),
-                          n.right_key, stats);
+      if (frag != nullptr) {
+        // Taken before the probe side compiles: BuildSharedTables' order.
+        auto table = (*frag->shared)[frag->next_shared++];
+        op = exec::HashProbe(input(0), n.left_key, std::move(table), stats,
+                             opts.batch_rows);
+      } else {
+        op = exec::HashJoin(input(0), n.left_key, input(1), n.right_key,
+                            stats, opts.batch_rows);
+      }
       break;
-    case Kind::kExchange: {
-      const PhysicalNode& tmpl = *n.children[0];
-      std::vector<std::shared_ptr<const exec::SharedHashTable>> shared;
-      BuildSharedTables(tmpl, tables, stats, opts, &shared);
-      auto ranges = MorselRanges(tmpl, tables, n.dop);
-      // Fragments build lazily inside producer tasks, long after this
-      // frame is gone: the factory owns the morsel ranges and shared-table
-      // handles outright, and refers only to plan-owned state (template
-      // node, tables, options), which outlives the compiled tree.
-      exec::FragmentFactory factory =
-          [&tmpl, &tables, &opts, ranges = std::move(ranges),
-           shared = std::move(shared)](int f, ExecStats* fs) {
-            size_t idx = 0;
-            return CompileFragment(tmpl, tables, fs, opts, ranges[f],
-                                   shared, &idx);
-          };
-      op = exec::Exchange(n.dop, std::move(factory),
+    case Kind::kExchange:
+      op = exec::Exchange(n.dop, FragmentsOf(n, tables, stats, opts),
                           n.ordered_merge ? exec::MergeMode::kOrderedMerge
                                           : exec::MergeMode::kUnion,
                           n.spec, opts.pool, stats, opts.batch_rows);
       break;
-    }
-    case Kind::kParallelHashAgg: {
-      const PhysicalNode& tmpl = *n.children[0];
-      std::vector<std::shared_ptr<const exec::SharedHashTable>> shared;
-      BuildSharedTables(tmpl, tables, stats, opts, &shared);
-      auto ranges = MorselRanges(tmpl, tables, n.dop);
-      exec::FragmentFactory factory =
-          [&tmpl, &tables, &opts, ranges = std::move(ranges),
-           shared = std::move(shared)](int f, ExecStats* fs) {
-            size_t idx = 0;
-            return CompileFragment(tmpl, tables, fs, opts, ranges[f],
-                                   shared, &idx);
-          };
-      op = exec::ParallelHashAggregate(n.dop, std::move(factory),
+    case Kind::kParallelHashAgg:
+      op = exec::ParallelHashAggregate(n.dop,
+                                       FragmentsOf(n, tables, stats, opts),
                                        n.group_cols, n.aggs, opts.pool,
                                        stats, opts.batch_rows);
       break;
-    }
     case Kind::kCombinePartials: {
       std::vector<engine::AggSpec::Kind> kinds;
       for (const auto& a : n.aggs) kinds.push_back(a.kind);
       op = exec::CombinePartialAggregates(
-          CompileNode(*n.children[0], tables, stats, opts),
-          static_cast<int>(n.group_cols.size()), std::move(kinds));
+          input(0), static_cast<int>(n.group_cols.size()), std::move(kinds));
       break;
     }
   }
+  if (frag != nullptr) return op;
   return std::make_unique<CountingOp>(std::move(op), &n);
 }
 
@@ -1354,6 +1305,9 @@ PhysicalPlan PlanQuery(const LogicalQuery& q, const CostModel& cost,
                        const PlanOptions& options) {
   if (options.dop < 1) {
     throw std::invalid_argument("PlanQuery: dop must be >= 1");
+  }
+  if (options.batch_rows < 1) {
+    throw std::invalid_argument("PlanQuery: batch_rows must be >= 1");
   }
   Planner planner(q, cost);
   Cand winner = planner.Plan();

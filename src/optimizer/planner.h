@@ -176,7 +176,8 @@ struct PhysicalNode {
   mutable int64_t actual_rows = -1;
   /// Inclusive wall-clock (this node + everything below it) spent inside
   /// Next, in nanoseconds; -1 = not run. Fragment interiors stay -1 — the
-  /// exchange node above them is timed instead (see CompileFragment).
+  /// exchange node above them is timed instead (hash-join build sides,
+  /// which run once outside the fragments, are timed themselves).
   mutable int64_t actual_ns = -1;
 };
 

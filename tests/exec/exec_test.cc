@@ -336,7 +336,7 @@ void ExpectHashGroupsMatchStreamGroups(const Table& unsorted,
     OpPtr par = ParallelHashAggregate(
         3,
         [&t](int f, opt::ExecStats* fs) {
-          return ScanRange(&t, 2 * f, 2 * f + 2, fs, /*batch_rows=*/1);
+          return Scan(&t, fs, /*batch_rows=*/1, {2 * f, 2 * f + 2});
         },
         group_cols, aggs, p);
     EXPECT_TRUE(TablesEqualExactly(want, Drain(par.get())));
@@ -406,7 +406,7 @@ TEST(IndexRangeScanTest, MatchesIndexScanRange) {
   Table t = MakeKv(5000, 100);
   engine::OrderedIndex idx(&t, {0});
   opt::ExecStats stats;
-  OpPtr scan = IndexRangeScan(&idx, {{10, 20}}, &stats, 128);
+  OpPtr scan = IndexRangeScan(&idx, idx.PositionRange(10, 20), &stats, 128);
   EXPECT_EQ(scan->ordering(), engine::SortSpec({0}));
   Table streamed = Drain(scan.get(), &stats);
   Table reference = idx.ScanRange(10, 20);
@@ -440,6 +440,10 @@ TEST(OperatorContractTest, InvalidColumnIdsThrow) {
   // HashJoin builds and probes through the unchecked int64 accessor; a
   // non-int64 key must be rejected up front (MergeJoin handles any type).
   EXPECT_THROW(HashJoin(Scan(&t), 1, Scan(&t), 1), std::invalid_argument);
+  // A batch of fewer than one row: a scan would return empty batches
+  // forever.
+  EXPECT_THROW(Scan(&t, nullptr, 0), std::invalid_argument);
+  EXPECT_THROW(Sort(Scan(&t), {0}, {}, nullptr, -3), std::invalid_argument);
 }
 
 TEST(OperatorContractTest, DrainingTheSameTreeTwiceThrows) {

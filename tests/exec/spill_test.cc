@@ -210,8 +210,8 @@ TEST_F(SpillTest, TempFilesCleanedOnEarlyLimitExit) {
 }
 
 TEST_F(SpillTest, ParallelRunPrepBitIdenticalToSerial) {
-  // With a pool, run sorting/writing happens on scheduler tasks and a
-  // run count past the merge fan-in triggers the parallel pre-merge —
+  // With a pool, run sorting/writing happens on scheduler tasks, and the
+  // hundreds of runs they leave merge in one pass on the consumer —
   // neither may move a single row: the tiebreak hierarchy (in-run order,
   // then run index) is the same one the serial merge uses.
   Table t = MakeMessy(20000);
@@ -223,7 +223,7 @@ TEST_F(SpillTest, ParallelRunPrepBitIdenticalToSerial) {
   opt::ExecStats stats;
   {
     SortOptions so;
-    so.memory_budget_rows = 64;  // ~313 runs: far past the fan-in of 8
+    so.memory_budget_rows = 64;  // ~313 runs
     so.temp_dir = dir_.string();
     so.pool = &pool;
     OpPtr op = Sort(Scan(&t), spec, so, &stats);

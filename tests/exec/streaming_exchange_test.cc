@@ -118,8 +118,7 @@ TEST_F(StreamingExchangeTest, UnionEmitsFragmentsInOrder) {
   OpPtr op = Exchange(
       4,
       [&](int f, opt::ExecStats* fs) {
-        return ScanRange(&t, ranges[f].first, ranges[f].second, fs,
-                         /*batch_rows=*/7);
+        return Scan(&t, fs, /*batch_rows=*/7, ranges[f]);
       },
       MergeMode::kUnion, SortSpec{}, pool_.get(), nullptr, /*batch_rows=*/7);
   const Table got = Drain(op.get());
@@ -139,7 +138,7 @@ TEST_F(StreamingExchangeTest, PeakResidencyStaysBoundedOnLargeInput) {
   OpPtr op = Exchange(
       kFrags,
       [&](int f, opt::ExecStats* fs) {
-        return ScanRange(&t, ranges[f].first, ranges[f].second, fs, kBatch);
+        return Scan(&t, fs, kBatch, ranges[f]);
       },
       MergeMode::kUnion, SortSpec{}, pool_.get(), &stats, kBatch);
   const Table got = Drain(op.get(), &stats);
@@ -159,8 +158,7 @@ TEST_F(StreamingExchangeTest, OrderedMergeBitIdenticalToSerialIndexScan) {
   OpPtr op = Exchange(
       4,
       [&](int f, opt::ExecStats* fs) {
-        return IndexPositionScan(&index, ranges[f].first, ranges[f].second,
-                                 fs, /*batch_rows=*/64);
+        return IndexRangeScan(&index, ranges[f], fs, /*batch_rows=*/64);
       },
       MergeMode::kOrderedMerge, SortSpec{0}, pool_.get(), nullptr,
       /*batch_rows=*/64);
@@ -178,8 +176,8 @@ TEST_F(StreamingExchangeTest, OrderedMergeWithoutProofThrows) {
           2,
           [&](int f, opt::ExecStats* fs) {
             const auto ranges = SplitRows(t.num_rows(), 2);
-            // ScanRange of an unsorted table claims no ordering.
-            return ScanRange(&t, ranges[f].first, ranges[f].second, fs);
+            // A Scan of an unsorted table claims no ordering.
+            return Scan(&t, fs, kDefaultBatchRows, ranges[f]);
           },
           MergeMode::kOrderedMerge, SortSpec{0}, pool_.get()),
       std::logic_error);
@@ -196,8 +194,7 @@ TEST_F(StreamingExchangeTest, ProducerFailureCancelsAndCleansSpills) {
     OpPtr op = Exchange(
         4,
         [&](int f, opt::ExecStats* fs) {
-          OpPtr scan = ScanRange(&t, ranges[f].first, ranges[f].second, fs,
-                                 /*batch_rows=*/8);
+          OpPtr scan = Scan(&t, fs, /*batch_rows=*/8, ranges[f]);
           if (f == 1) scan = std::make_unique<ThrowAfter>(std::move(scan), 4);
           SortOptions so;
           so.memory_budget_rows = 16;
@@ -225,8 +222,7 @@ TEST_F(StreamingExchangeTest, EarlyExitStopsProducersEarly) {
     OpPtr op = Exchange(
         4,
         [&](int f, opt::ExecStats* fs) {
-          return ScanRange(&t, ranges[f].first, ranges[f].second, fs,
-                           /*batch_rows=*/512);
+          return Scan(&t, fs, /*batch_rows=*/512, ranges[f]);
         },
         MergeMode::kUnion, SortSpec{}, pool_.get(), &stats,
         /*batch_rows=*/512);
@@ -259,9 +255,8 @@ TEST_F(StreamingExchangeTest, NestedExchangesMatchSerial) {
               2,
               [&, f, base = outer[f].first, inner](int g,
                                                    opt::ExecStats* gs) {
-                return ScanRange(&t, base + inner[g].first,
-                                 base + inner[g].second, gs,
-                                 /*batch_rows=*/128);
+                return Scan(&t, gs, /*batch_rows=*/128,
+                            {base + inner[g].first, base + inner[g].second});
               },
               MergeMode::kUnion, SortSpec{}, pool, fs, /*batch_rows=*/128);
         },

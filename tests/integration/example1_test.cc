@@ -88,7 +88,7 @@ TEST_F(Example1Test, RewrittenPlanHasNoSortAndAgrees) {
   engine::OrderedIndex index(&joined_, {year_, moy_});
   opt::ExecStats od_stats;
   exec::OpPtr od_plan = exec::StreamAggregate(
-      exec::IndexRangeScan(&index, std::nullopt, &od_stats), full_groups,
+      exec::IndexRangeScan(&index, exec::kAllUnits, &od_stats), full_groups,
       aggs);
   Table od_result = exec::Drain(od_plan.get(), &od_stats);
   EXPECT_EQ(od_stats.sorts, 0);  // no sort operator anywhere

@@ -202,6 +202,45 @@ TEST_F(DateExplainAnalyzeTest, SerialBlindPlanChargesItsEnforcers) {
   tracer.Clear();
 }
 
+TEST_F(DateExplainAnalyzeTest, ParallelBlindPlanLeavesTemplatesUntimed) {
+  // The counting rule per-operator self time relies on: the parallel node
+  // and everything above it are timed, and so is each hash-join build side
+  // (built once, before the fragments start); the fragment template runs
+  // once per fragment, so its driving chain stays at -1 and its work rolls
+  // up into the parallel node.
+  common::ThreadPool pool(4);
+  CostModel cm;
+  cm.fragment_startup = 0.0;  // make the fan-out pay at this table size
+  PlanOptions opts;
+  opts.dop = 4;
+  opts.pool = &pool;
+  PhysicalPlan plan = PlanQuery(
+      warehouse::DailySalesQuery(&fact_, &dim_, index_.get(), parts_.get(),
+                                 /*dim_ods=*/nullptr, kStartYear + 1),
+      cm, opts);
+  const std::string report = ExplainAnalyze(plan);
+  using Kind = PhysicalNode::Kind;
+  const PhysicalNode* n = &plan.root();
+  for (;; n = n->children[0].get()) {
+    EXPECT_GE(n->actual_rows, 0) << report;
+    EXPECT_GE(n->actual_ns, 0) << report;
+    if (n->kind == Kind::kParallelHashAgg || n->kind == Kind::kExchange) break;
+    ASSERT_FALSE(n->children.empty()) << report;
+  }
+  int joins = 0;
+  for (const PhysicalNode* t = n->children[0].get(); t != nullptr;
+       t = t->children.empty() ? nullptr : t->children[0].get()) {
+    EXPECT_EQ(t->actual_rows, -1) << report;
+    EXPECT_EQ(t->actual_ns, -1) << report;
+    if (t->kind == Kind::kHashJoin) {
+      ++joins;
+      EXPECT_GE(t->children[1]->actual_rows, 0) << report;
+      EXPECT_GE(t->children[1]->actual_ns, 0) << report;
+    }
+  }
+  EXPECT_EQ(joins, 1) << report;
+}
+
 TEST_F(DateExplainAnalyzeTest, LiveRegistrySnapshotRoundTripsBothFormats) {
   // Execute a real query so the registry holds engine-written metrics
   // (prover searches, planner enumerations, discovery counters from other

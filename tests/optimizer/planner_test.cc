@@ -373,6 +373,40 @@ TEST(PlannerBatchRowsTest, MergeJoinPausesInsideARun) {
   EXPECT_TRUE(engine::SameRowMultiset(want, got));
 }
 
+TEST(PlannerBatchRowsTest, HashJoinProbeStopsAtBatchRows) {
+  // Every probe row meets 4 build rows, so one 3-row probe batch matches
+  // 12 rows; the probe must split them at batch_rows, in the serial plan
+  // and inside exchange fragments alike.
+  Schema s;
+  s.Add("k", DataType::kInt64);
+  s.Add("x", DataType::kInt64);
+  Table probe(s), build(s);
+  for (int64_t i = 0; i < 50; ++i) probe.AppendRow({Value(i % 5), Value(i)});
+  for (int64_t i = 0; i < 20; ++i) build.AppendRow({Value(i % 5), Value(i)});
+  LogicalQuery q;
+  q.name = "hash_matches";
+  q.tables.push_back(TableRef{"p", &probe});
+  q.tables.push_back(TableRef{"b", &build});
+  q.joins.push_back(JoinClause{1, 0, 0});
+  const Table want = engine::HashJoin(probe, 0, build, 0);
+  ASSERT_EQ(want.num_rows(), 50 * 4);
+  common::ThreadPool pool(2);
+  CostModel cm;
+  cm.fragment_startup = 0.0;  // make the fan-out pay at this size
+  for (int dop : {1, 2}) {
+    PlanOptions opts;
+    opts.dop = dop;
+    opts.pool = &pool;
+    opts.batch_rows = 3;
+    PhysicalPlan plan = PlanQuery(q, cm, opts);
+    ASSERT_TRUE(ExplainMentions(plan, "HashJoin")) << plan.Explain();
+    ASSERT_EQ(ExplainMentions(plan, "Exchange"), dop > 1) << plan.Explain();
+    int64_t batches = 0;
+    Table got = DrainInBatchesOf(plan, 3, &batches);
+    EXPECT_TRUE(engine::SameRowMultiset(want, got)) << "dop=" << dop;
+  }
+}
+
 TEST_F(DatePlannerTest, PartitionPruningWithoutIndex) {
   LogicalQuery q = warehouse::DailySalesQuery(
       &fact_, &dim_, /*fact_sk_index=*/nullptr, parts_.get(), dim_ods_,
@@ -422,6 +456,15 @@ TEST(PlannerValidationTest, MalformedQueriesThrow) {
   bad_order.aggs = {{AggSpec::Kind::kCount, 0, "c"}};
   bad_order.order_by = {1};  // not a group column
   EXPECT_THROW(PlanQuery(bad_order), std::invalid_argument);
+
+  // A batch of fewer than one row never drains.
+  LogicalQuery scan;
+  scan.tables.push_back(TableRef{"t", &t});
+  for (int64_t batch_rows : {int64_t{0}, int64_t{-3}}) {
+    PlanOptions opts;
+    opts.batch_rows = batch_rows;
+    EXPECT_THROW(PlanQuery(scan, CostModel(), opts), std::invalid_argument);
+  }
 }
 
 TEST(PlannerValidationTest, NonIntegerJoinKeyKeepsTheJoin) {
