@@ -17,7 +17,7 @@
 //   * BM_ServicePublish — writer-path cost of one Add+Remove cycle: per
 //     edit, the catalog copy (the value the last publish handed out is
 //     shared), the memo sweep, and a publish that copies nothing (a
-//     replica prover adopting the value, a batcher, the pointer swap).
+//     replica prover adopting the value and the pointer swap).
 
 #include <benchmark/benchmark.h>
 

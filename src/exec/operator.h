@@ -197,7 +197,9 @@ OpPtr Sort(OpPtr child, engine::SortSpec spec, SortOptions options = {},
            int64_t batch_rows = kDefaultBatchRows);
 
 /// ORDER BY + LIMIT k enforcer: keeps only the k smallest rows under
-/// `spec` (O(n log k) selection instead of a full sort), emits them sorted.
+/// `spec` (O(n log k) selection instead of a full sort, holding at most
+/// 2k rows plus one batch), emits them sorted. Ties keep input order, so
+/// the rows are those of a stable sort (engine::SortBy) plus LIMIT k.
 OpPtr TopK(OpPtr child, engine::SortSpec spec, int64_t k,
            opt::ExecStats* stats = nullptr,
            int64_t batch_rows = kDefaultBatchRows);

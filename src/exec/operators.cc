@@ -505,8 +505,8 @@ class TopKOp : public Operator {
  public:
   TopKOp(OpPtr child, SortSpec spec, int64_t k, opt::ExecStats* stats,
          int64_t batch_rows)
-      : child_(std::move(child)), spec_(std::move(spec)), k_(k),
-        stats_(stats), batch_rows_(batch_rows) {
+      : child_(std::move(child)), spec_(std::move(spec)),
+        k_(std::max<int64_t>(0, k)), stats_(stats), batch_rows_(batch_rows) {
     CheckBatchRows(batch_rows_, "exec::TopK");
     CheckColumns(child_->schema(), spec_, "exec::TopK");
     schema_ = child_->schema();
@@ -516,18 +516,20 @@ class TopKOp : public Operator {
   bool Next(Batch* out) override {
     out->Prepare(schema_);
     if (!ready_) {
-      Table in = Drain(child_.get(), nullptr);
-      std::vector<int64_t> perm(in.num_rows());
-      std::iota(perm.begin(), perm.end(), 0);
-      const int64_t k = std::min<int64_t>(k_, in.num_rows());
-      // O(n log k) selection of the k smallest rows, emitted sorted —
-      // cheaper than the full sort an ORDER BY ... LIMIT would imply.
-      std::partial_sort(perm.begin(), perm.begin() + k, perm.end(),
-                        [&](int64_t a, int64_t b) {
-                          return in.CompareRows(a, b, spec_) < 0;
-                        });
-      perm.resize(k);
-      top_ = in.Gather(perm);
+      child_->StartConsume("exec::TopK");
+      top_ = Table(schema_);
+      Batch batch;
+      while (child_->Next(&batch)) {
+        for (int c = 0; c < top_.num_columns(); ++c) {
+          top_.col(c).AppendRange(batch.col(c), 0, batch.num_rows());
+        }
+        top_.SetRowCount(top_.num_rows() + batch.num_rows());
+        // Past 2k rows (written so a huge k cannot overflow), cut back to
+        // the k smallest: at most 2k + one batch is ever held, and the
+        // cuts cost O(n log k) over the whole input.
+        if (top_.num_rows() - k_ > k_) top_ = Smallest(top_);
+      }
+      top_ = Smallest(top_);
       top_.SetOrdering(spec_);
       if (stats_ != nullptr) ++stats_->sorts;  // the enforcer was paid
       ready_ = true;
@@ -536,6 +538,22 @@ class TopKOp : public Operator {
   }
 
  private:
+  /// The min(k, n) smallest rows of `t` under spec_, sorted, ties broken
+  /// by row position. That is arrival order, as in a stable sort: each cut
+  /// keeps its survivors in that order, and later rows append after them.
+  Table Smallest(const Table& t) const {
+    std::vector<int64_t> perm(t.num_rows());
+    std::iota(perm.begin(), perm.end(), 0);
+    const int64_t k = std::min<int64_t>(k_, t.num_rows());
+    std::partial_sort(perm.begin(), perm.begin() + k, perm.end(),
+                      [&](int64_t a, int64_t b) {
+                        const int c = t.CompareRows(a, b, spec_);
+                        return c != 0 ? c < 0 : a < b;
+                      });
+    perm.resize(k);
+    return t.Gather(perm);
+  }
+
   OpPtr child_;
   SortSpec spec_;
   int64_t k_;

@@ -46,20 +46,5 @@ std::vector<OrderDependency> BoundedClosure(const Prover& prover,
   return out;
 }
 
-std::vector<std::pair<AttributeId, AttributeId>> SingletonCompatibilities(
-    const Prover& prover, const AttributeSet& universe) {
-  std::vector<std::pair<AttributeId, AttributeId>> out;
-  const std::vector<AttributeId> attrs = universe.ToVector();
-  for (size_t i = 0; i < attrs.size(); ++i) {
-    for (size_t j = i + 1; j < attrs.size(); ++j) {
-      if (prover.OrderCompatible(AttributeList({attrs[i]}),
-                                 AttributeList({attrs[j]}))) {
-        out.emplace_back(attrs[i], attrs[j]);
-      }
-    }
-  }
-  return out;
-}
-
 }  // namespace prover
 }  // namespace od

@@ -25,10 +25,6 @@ std::vector<OrderDependency> BoundedClosure(const Prover& prover,
                                             const AttributeSet& universe,
                                             int max_len);
 
-/// All order-compatibility facts A ~ B between distinct single attributes.
-std::vector<std::pair<AttributeId, AttributeId>> SingletonCompatibilities(
-    const Prover& prover, const AttributeSet& universe);
-
 }  // namespace prover
 }  // namespace od
 

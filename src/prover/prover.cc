@@ -233,24 +233,22 @@ Prover::CacheShard& Prover::ShardFor(const OrderDependency& dep) const {
   return memo_->shards[(h ^ (h >> kHalf)) % kCacheShards];
 }
 
-std::optional<bool> Prover::CacheLookup(CacheShard& shard,
-                                        const OrderDependency& dep) const {
-  std::shared_lock<std::shared_mutex> lock(shard.mu);
-  auto it = shard.map.find(dep);
-  if (it == shard.map.end() || !it->second.HoldsAt(epoch())) {
-    return std::nullopt;
+std::optional<bool> Prover::Probe(
+    CacheShard& shard, const OrderDependency& dep,
+    std::optional<SignVector>* countermodel) const {
+  bool implied = false;
+  {
+    std::shared_lock<std::shared_mutex> lock(shard.mu);
+    auto it = shard.map.find(dep);
+    if (it == shard.map.end() || !it->second.HoldsAt(epoch())) {
+      return std::nullopt;
+    }
+    implied = it->second.implied;
+    if (!implied && countermodel != nullptr) *countermodel = it->second.model;
   }
-  return it->second.implied;
-}
-
-std::optional<Prover::Entry> Prover::EntryLookup(
-    CacheShard& shard, const OrderDependency& dep) const {
-  std::shared_lock<std::shared_mutex> lock(shard.mu);
-  auto it = shard.map.find(dep);
-  if (it == shard.map.end() || !it->second.HoldsAt(epoch())) {
-    return std::nullopt;
-  }
-  return it->second;
+  cache_hits_.fetch_add(1, std::memory_order_relaxed);
+  Metrics().hits.Add();
+  return implied;
 }
 
 void Prover::CacheStore(CacheShard& shard, const OrderDependency& dep,
@@ -430,11 +428,12 @@ std::vector<int> RelevantConstraints(const DependencySet& m,
 
 bool Prover::Implies(const OrderDependency& dep) const {
   CacheShard& shard = ShardFor(dep);
-  if (auto cached = CacheLookup(shard, dep)) {
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().hits.Add();
-    return *cached;
-  }
+  if (auto hit = Probe(shard, dep)) return *hit;
+  return !Search(shard, dep).has_value();
+}
+
+std::optional<SignVector> Prover::Search(CacheShard& shard,
+                                         const OrderDependency& dep) const {
   // Search outside the lock: a racing duplicate re-derives the same answer.
   // One counter tick per cache-miss resolution, even when the relevance
   // phase below falls through to the full search.
@@ -468,7 +467,7 @@ bool Prover::Implies(const OrderDependency& dep) const {
       }
       Metrics().search_depth.Record(restricted_universe.Size());
       CacheStore(shard, dep, true, support, std::nullopt);
-      return true;
+      return std::nullopt;
     }
     // A falsifying model of the SUBSET proves nothing about ℳ by itself —
     // unless its zero-extension happens to satisfy every excluded
@@ -488,8 +487,8 @@ bool Prover::Implies(const OrderDependency& dep) const {
     }
     if (satisfies_rest) {
       Metrics().search_depth.Record(restricted_universe.Size());
-      CacheStore(shard, dep, false, {}, std::move(subset_model));
-      return false;
+      CacheStore(shard, dep, false, {}, subset_model);
+      return subset_model;
     }
     // Genuinely inconclusive — fall through to the exact full search.
   }
@@ -499,9 +498,8 @@ bool Prover::Implies(const OrderDependency& dep) const {
       theory_->attributes().Union(dep.Attributes()).Size());
   std::vector<int> support;
   auto model = FindFalsifyingModel(m, dep, theory_->attributes(), &support);
-  const bool implied = !model.has_value();
-  CacheStore(shard, dep, implied, support, std::move(model));
-  return implied;
+  CacheStore(shard, dep, !model.has_value(), support, model);
+  return model;
 }
 
 bool Prover::Implies(const AttributeList& lhs,
@@ -510,13 +508,7 @@ bool Prover::Implies(const AttributeList& lhs,
 }
 
 std::optional<bool> Prover::CachedImplies(const OrderDependency& dep) const {
-  CacheShard& shard = ShardFor(dep);
-  auto cached = CacheLookup(shard, dep);
-  if (cached) {
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().hits.Add();
-  }
-  return cached;
+  return Probe(ShardFor(dep), dep);
 }
 
 std::vector<bool> Prover::ProveAll(const std::vector<OrderDependency>& deps,
@@ -558,11 +550,7 @@ bool Prover::IsConstant(AttributeId a) const {
   if (theory_->IsEmpty()) return false;
   const OrderDependency dep(AttributeList::EmptyList(), AttributeList({a}));
   CacheShard& shard = ShardFor(dep);
-  if (auto cached = CacheLookup(shard, dep)) {
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().hits.Add();
-    return *cached;
-  }
+  if (auto hit = Probe(shard, dep)) return *hit;
   // [] ↦ [a] is FD-shaped, so ℱ ⊨ ∅ → a already decides the positive case
   // in polynomial time (Theorem 13/16). Seed the memo — with the closure's
   // fired FDs as the support certificate, since the projection is
@@ -574,7 +562,7 @@ bool Prover::IsConstant(AttributeId a) const {
     CacheStore(shard, dep, true, used_fds, std::nullopt);
     return true;
   }
-  return Implies(dep);
+  return !Search(shard, dep).has_value();
 }
 
 AttributeSet Prover::Constants() const {
@@ -588,36 +576,14 @@ AttributeSet Prover::Constants() const {
 
 std::optional<Relation> Prover::Counterexample(
     const OrderDependency& dep) const {
+  // A cached "implied" leaves `model` empty; a cached "not implied" hands
+  // over its countermodel, which the memo sweeps keep valid for the
+  // current ℳ. Either way no search runs.
   CacheShard& shard = ShardFor(dep);
-  if (auto cached = EntryLookup(shard, dep)) {
-    // Implied: no falsifying model exists — skip the search entirely. Not
-    // implied: the memo sweeps keep the stored countermodel valid for the
-    // current ℳ, so materialize it (zero-extended to the present universe,
-    // where it still satisfies every live constraint) without a search.
-    if (cached->implied) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().hits.Add();
-      return std::nullopt;
-    }
-    if (cached->model.has_value()) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().hits.Add();
-      return MaterializeCounterexample(*cached->model);
-    }
-  }
-  searches_executed_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().searches.Add();
-  OD_TRACE_SPAN("prover.search");
-  Metrics().search_depth.Record(
-      theory_->attributes().Union(dep.Attributes()).Size());
-  std::vector<int> support;
-  auto model = FindFalsifyingModel(theory_->deps(), dep, theory_->attributes(),
-                                   &support);
-  const bool implied = !model.has_value();
-  std::optional<Relation> result;
-  if (model) result = MaterializeCounterexample(*model);
-  CacheStore(shard, dep, implied, support, std::move(model));
-  return result;
+  std::optional<SignVector> model;
+  if (!Probe(shard, dep, &model)) model = Search(shard, dep);
+  if (!model) return std::nullopt;
+  return MaterializeCounterexample(*model);
 }
 
 Relation Prover::MaterializeCounterexample(const SignVector& model) const {
@@ -640,9 +606,12 @@ void Prover::ResetStats() {
 
 std::optional<uint64_t> Prover::entry_epoch(const OrderDependency& dep) const {
   CacheShard& shard = ShardFor(dep);
-  auto entry = EntryLookup(shard, dep);
-  if (!entry) return std::nullopt;
-  return entry->epoch;
+  std::shared_lock<std::shared_mutex> lock(shard.mu);
+  auto it = shard.map.find(dep);
+  if (it == shard.map.end() || !it->second.HoldsAt(epoch())) {
+    return std::nullopt;
+  }
+  return it->second.epoch;
 }
 
 int64_t Prover::memo_size() const {

@@ -153,9 +153,9 @@ class Prover {
 
   /// The memoized answer for `dep`, if one holds at this prover's epoch —
   /// never runs a model search. A hit counts toward cache_hits(): it
-  /// answered the query. This is the service layer's fast path (probe the
-  /// tenant memo before paying the batching handshake); one shared-lock
-  /// map lookup.
+  /// answered the query. This is the service layer's fast path (a hit
+  /// answers a session without opening a profiled request); one
+  /// shared-lock map lookup.
   std::optional<bool> CachedImplies(const OrderDependency& dep) const;
 
   /// Batch form of Implies: answers every query, fanning the model searches
@@ -183,10 +183,11 @@ class Prover {
   AttributeSet Constants() const;
 
   /// A two-row relation satisfying ℳ and falsifying `dep`, if ℳ ⊭ dep.
-  /// Shares the memo with Implies: a cached "implied" answers nullopt and a
-  /// cached "not implied" materializes the stored countermodel (the memo
-  /// sweeps guarantee it is still a countermodel for the *current* ℳ),
-  /// both without a search; only a cold query runs the (counted) search.
+  /// Shares the memo probe and the search with Implies: a cached "implied"
+  /// answers nullopt and a cached "not implied" materializes the stored
+  /// countermodel (the memo sweeps guarantee it is still a countermodel
+  /// for the *current* ℳ), both without a search; a cold query runs the
+  /// one search Implies would and returns the countermodel it stored.
   /// The relation is zero-extended to the current attribute universe, so
   /// it satisfies every live constraint even ones declared after the model
   /// was first derived.
@@ -252,12 +253,17 @@ class Prover {
   struct Memo;
 
   CacheShard& ShardFor(const OrderDependency& dep) const;
-  /// Cached answer for `dep`, if one holds at epoch() (shared lock).
-  std::optional<bool> CacheLookup(CacheShard& shard,
-                                  const OrderDependency& dep) const;
-  /// Full cached entry for `dep`, if it holds at epoch() (shared lock;
-  /// copies — diagnostics and Counterexample, not the Implies hot path).
-  std::optional<Entry> EntryLookup(CacheShard& shard,
+  /// The memo probe every query starts with: the cached answer for `dep`,
+  /// if one holds at epoch(), counted as a hit (one shared lock, no entry
+  /// copy). On a "not implied" hit, a non-null `countermodel` receives the
+  /// stored countermodel.
+  std::optional<bool> Probe(
+      CacheShard& shard, const OrderDependency& dep,
+      std::optional<SignVector>* countermodel = nullptr) const;
+  /// The miss path every query shares: counts and traces one search, tries
+  /// the relevance closure of `dep`, then the full catalog, stores the
+  /// answer, and returns its countermodel (nullopt: implied).
+  std::optional<SignVector> Search(CacheShard& shard,
                                    const OrderDependency& dep) const;
   /// Records an answer derived at epoch() (exclusive lock), open-ended if
   /// epoch() is the memo head, else ending at epoch() + 1. An open-ended

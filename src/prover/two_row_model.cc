@@ -162,16 +162,6 @@ std::optional<SignVector> FindFalsifyingModel(const DependencySet& m,
   return model;
 }
 
-std::optional<SignVector> FindNonConstantModel(const DependencySet& m,
-                                               AttributeId a,
-                                               const AttributeSet& universe) {
-  AttributeSet full = universe.Union(m.Attributes());
-  full.Add(a);
-  ModelSearch search(m, full);
-  return search.Search(
-      [a](const SignVector& sv) { return sv.Get(a) != 0; });
-}
-
 std::optional<SignVector> FindModelWithSigns(
     const DependencySet& m, const AttributeSet& universe,
     const std::vector<std::pair<AttributeId, Sign>>& pinned) {

@@ -77,12 +77,6 @@ std::optional<SignVector> FindFalsifyingModel(const DependencySet& m,
                                               std::vector<int>* support =
                                                   nullptr);
 
-/// Searches for a sign vector satisfying all of `m` with σ[a] != 0 for `a`
-/// (used for constant detection: none exists iff ℳ ⊨ [] ↦ [a]).
-std::optional<SignVector> FindNonConstantModel(const DependencySet& m,
-                                               AttributeId a,
-                                               const AttributeSet& universe);
-
 /// Searches for a sign vector satisfying all of `m` with the given pinned
 /// attribute signs (used by the completeness construction to test whether a
 /// swap between two attributes is consistent within a frozen context).

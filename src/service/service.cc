@@ -1,12 +1,10 @@
 #include "service/service.h"
 
 #include <chrono>
-#include <condition_variable>
 #include <stdexcept>
 #include <utility>
 
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "service/flight_recorder.h"
 
@@ -22,15 +20,12 @@ struct TenantMetrics {
   common::Counter& sessions_opened;
   common::Counter& implies;
   common::Counter& fastpath_hits;
-  common::Counter& batches;
-  common::Counter& batched_queries;
   common::Counter& publishes;
   common::Counter& memo_seeded;
   common::Counter& plans;
   common::Counter& slow_queries;
   common::Gauge& published_epoch;
   common::Gauge& pinned_sessions;
-  common::Histogram& batch_size;
   common::Histogram& publish_us;
   common::Histogram& request_us;
 
@@ -48,16 +43,9 @@ struct TenantMetrics {
                                label)),
         fastpath_hits(reg.GetCounter(
             "od_service_fastpath_hits_total",
-            "Implies answered from the tenant memo without entering "
-            "the batcher",
+            "Implies answered from the tenant memo without opening a "
+            "profiled request",
             label)),
-        batches(reg.GetCounter("od_service_batches_total",
-                               "Coalesced ProveAll sweeps executed by "
-                               "batch leaders",
-                               label)),
-        batched_queries(reg.GetCounter(
-            "od_service_batched_queries_total",
-            "Implies misses that rode a coalesced ProveAll sweep", label)),
         publishes(reg.GetCounter("od_service_publishes_total",
                                  "Epoch states published by the writer "
                                  "path",
@@ -82,13 +70,10 @@ struct TenantMetrics {
         pinned_sessions(reg.GetGauge(
             "od_service_pinned_sessions",
             "Live Session objects currently pinning an epoch", label)),
-        batch_size(reg.GetHistogram("od_service_batch_size",
-                                    "Queries per coalesced ProveAll sweep",
-                                    label)),
         publish_us(reg.GetHistogram(
             "od_service_publish_us",
             "Writer-path publication cost (replica prover adopting the "
-            "catalog value + batcher + pointer swap), microseconds",
+            "catalog value + pointer swap), microseconds",
             label)),
         request_us(reg.GetHistogram(
             "od_service_request_us",
@@ -97,120 +82,22 @@ struct TenantMetrics {
             label)) {}
 };
 
-/// Group-commit coalescing of concurrent Implies misses into ProveAll
-/// sweeps. The first thread to find no leader running becomes the leader:
-/// it repeatedly claims up to max_batch pending requests, proves them in
-/// one ProveAll fanned across the scheduler, marks them done, and exits
-/// once the queue drains; followers wait on the condition variable (a
-/// follower whose request is still pending when the leader exits takes
-/// the leader role itself). No lock is held across proving.
-class ImpliesBatcher {
- public:
-  ImpliesBatcher(const prover::Prover* prover, common::ThreadPool* pool,
-                 int max_batch, TenantMetrics* metrics)
-      : prover_(prover),
-        pool_(pool),
-        max_batch_(max_batch < 1 ? 1 : max_batch),
-        metrics_(metrics) {}
-
-  bool Implies(const OrderDependency& dep) {
-    Request req(&dep);
-    std::unique_lock<std::mutex> lock(mu_);
-    pending_.push_back(&req);
-    while (!req.done) {
-      if (!leader_active_) {
-        RunAsLeader(lock, &req);
-      } else {
-        cv_.wait(lock, [&] { return req.done || !leader_active_; });
-      }
-    }
-    return req.result;
-  }
-
- private:
-  struct Request {
-    explicit Request(const OrderDependency* d) : dep(d) {}
-    const OrderDependency* dep;
-    bool result = false;
-    bool done = false;
-  };
-
-  /// Precondition: `lock` held, leader_active_ == false. Postcondition:
-  /// `lock` held, leader_active_ == false, own request done (the leader
-  /// never exits while its own request is pending — it keeps draining).
-  void RunAsLeader(std::unique_lock<std::mutex>& lock, Request* own) {
-    leader_active_ = true;
-    while (!pending_.empty()) {
-      std::vector<Request*> batch;
-      const size_t take = pending_.size() < static_cast<size_t>(max_batch_)
-                              ? pending_.size()
-                              : static_cast<size_t>(max_batch_);
-      batch.assign(pending_.begin(), pending_.begin() + take);
-      pending_.erase(pending_.begin(), pending_.begin() + take);
-      lock.unlock();
-
-      std::vector<bool> answers;
-      try {
-        OD_TRACE_SPAN("service.prove_batch");
-        std::vector<OrderDependency> queries;
-        queries.reserve(batch.size());
-        for (const Request* r : batch) queries.push_back(*r->dep);
-        answers = prover_->ProveAll(queries, pool_);
-        metrics_->batches.Add();
-        metrics_->batched_queries.Add(static_cast<int64_t>(batch.size()));
-        metrics_->batch_size.Record(static_cast<int64_t>(batch.size()));
-      } catch (...) {
-        // Requeue everyone else's request (a new leader will retry them),
-        // drop our own (we are about to unwind through the caller), and
-        // hand off leadership before rethrowing.
-        lock.lock();
-        for (Request* r : batch) {
-          if (r != own) pending_.push_back(r);
-        }
-        leader_active_ = false;
-        cv_.notify_all();
-        throw;
-      }
-
-      lock.lock();
-      for (size_t i = 0; i < batch.size(); ++i) {
-        batch[i]->result = answers[i];
-        batch[i]->done = true;
-      }
-      cv_.notify_all();
-    }
-    leader_active_ = false;
-    cv_.notify_all();
-  }
-
-  const prover::Prover* prover_;
-  common::ThreadPool* pool_;
-  const int max_batch_;
-  TenantMetrics* metrics_;
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<Request*> pending_;
-  bool leader_active_ = false;
-};
-
 /// Everything a session needs at one (tenant, epoch): the immutable
-/// snapshot, the frozen replica prover that reads and feeds the tenant's
-/// memo at this epoch, and the batcher coalescing cold queries. Logically
-/// immutable after publication — the memo and the batcher synchronize
-/// internally — so any number of sessions share one EpochState by
-/// shared_ptr, and the state dies with its last session once the writer
-/// has moved on. The memo itself is the tenant's and outlives it.
+/// snapshot and the frozen replica prover that reads and feeds the
+/// tenant's memo at this epoch. Logically immutable after publication —
+/// the memo synchronizes internally — so any number of sessions share one
+/// EpochState by shared_ptr, and the state dies with its last session once
+/// the writer has moved on. The memo itself is the tenant's and outlives
+/// it.
 struct EpochState {
   std::shared_ptr<const theory::TheorySnapshot> snapshot;
   std::shared_ptr<prover::Prover> prover;
-  std::unique_ptr<ImpliesBatcher> batcher;
 };
 
 struct TenantState {
   std::string name;
   TenantMetrics metrics;
-  /// The server's scheduler (may be null: serial sweeps).
+  /// The server's scheduler (may be null: Session::ProveAll runs serially).
   common::ThreadPool* pool = nullptr;
 
   /// Flight-recorder ring size (main and slow ring each), and the latency
@@ -354,17 +241,13 @@ namespace {
 /// a replica prover on the tenant memo and swap the published pointer.
 /// `seeded` is what the sweeps carried into this epoch. Caller holds
 /// writer_mu.
-void PublishLocked(internal::TenantState& tenant,
-                   const ServerOptions& options, int64_t seeded) {
+void PublishLocked(internal::TenantState& tenant, int64_t seeded) {
   OD_TRACE_SPAN("service.publish");
   const auto start = std::chrono::steady_clock::now();
   auto state = std::make_shared<internal::EpochState>();
   state->snapshot = tenant.master->Snapshot();
   state->prover =
       std::make_shared<prover::Prover>(state->snapshot, *tenant.master_prover);
-  state->batcher = std::make_unique<internal::ImpliesBatcher>(
-      state->prover.get(), options.pool, options.max_batch,
-      &tenant.metrics);
   {
     std::lock_guard<std::mutex> lock(tenant.publish_mu);
     tenant.published = state;
@@ -437,7 +320,7 @@ bool Session::Implies(const OrderDependency& dep) const {
                                  QueryProfile::Kind::kImplies,
                                  "service.implies");
   prof.profile().detail = dep.ToString();
-  return state_->batcher->Implies(dep);
+  return state_->prover->Implies(dep);
 }
 
 std::vector<bool> Session::ProveAll(
@@ -447,7 +330,6 @@ std::vector<bool> Session::ProveAll(
                                  QueryProfile::Kind::kProveAll,
                                  "service.prove_all");
   prof.profile().detail = std::to_string(deps.size()) + " queries";
-  // Already a batch: skip the coalescing handshake and fan out directly.
   return state_->prover->ProveAll(deps, tenant_->pool);
 }
 
@@ -527,7 +409,7 @@ void Server::CreateTenant(const std::string& tenant,
   state->master = std::make_shared<theory::Theory>(seed);
   state->master_prover = std::make_unique<prover::Prover>(state->master);
   // Publication needs no writer_mu here: the tenant is not yet visible.
-  PublishLocked(*state, options_, /*seeded=*/0);
+  PublishLocked(*state, /*seeded=*/0);
   tenants_.emplace(tenant, std::move(state));
 }
 
@@ -580,7 +462,7 @@ ApplyResult Server::Apply(const std::string& tenant,
   if (result.epoch != before) {
     result.memo_seeded = state.master_prover->last_sweep_kept();
   }
-  PublishLocked(state, options_, result.memo_seeded);
+  PublishLocked(state, result.memo_seeded);
   prof.profile().epoch = result.epoch;
   return result;
 }

@@ -30,8 +30,8 @@ class ThreadPool;
 /// catalog while a single writer per tenant keeps mutating it:
 ///
 ///   * **Snapshot isolation.** `Server::OpenSession` pins the tenant's
-///     currently published `theory::TheorySnapshot` (plus the prover and
-///     batcher serving that epoch). The writer's later mutations are
+///     currently published `theory::TheorySnapshot` (plus the prover
+///     serving that epoch). The writer's later mutations are
 ///     invisible to the session until it calls `Refresh()`; every answer a
 ///     session returns is exactly the answer of a fresh prover at its
 ///     pinned epoch (the churn differential suite enforces this bitwise).
@@ -49,20 +49,18 @@ class ThreadPool;
 ///     catalog's change feed, so the monotonicity-aware retention
 ///     (support-set and countermodel certificates) carries answers across
 ///     epochs in place: publication copies no memo.
-///   * **Batching.** Concurrent `Session::Implies` misses coalesce — group
-///     commit style — into `Prover::ProveAll` sweeps fanned across the
-///     work-stealing scheduler, so N sessions asking cold questions pay
-///     one leader's sweep rather than N interleaved searches.
+///   * **Cold queries.** A `Session::Implies` miss proves on the caller's
+///     thread, inside its own profiled request, through the epoch prover:
+///     it never waits behind another session's search, and its answer
+///     lands in the tenant memo for every session whose epoch it covers.
 ///
 /// See docs/service.md for the architecture and lifecycle diagrams.
 namespace service {
 
 struct ServerOptions {
-  /// Scheduler that batched ProveAll sweeps (and Session::ProveAll) fan
-  /// across. Null runs sweeps serially on the leader thread.
+  /// Scheduler that Session::ProveAll fans its searches across. Null runs
+  /// them serially on the caller's thread.
   common::ThreadPool* pool = nullptr;
-  /// Upper bound on Implies queries coalesced into one ProveAll sweep.
-  int max_batch = 256;
   /// Slow-query classification: a request is slow when its wall time
   /// reaches max(floor, p99) of the tenant's request-latency histogram —
   /// the p99 needs ≥32 recorded requests before it participates, so a
@@ -161,14 +159,14 @@ class Session {
   const theory::TheorySnapshot& snapshot() const;
 
   /// ℳ@epoch ⊨ dep. Fast path: the tenant memo at the pinned epoch (one
-  /// shared-lock probe). Miss: coalesced with concurrent misses into a
-  /// ProveAll sweep on the server's scheduler.
+  /// shared-lock probe). Miss: the epoch prover searches on the caller's
+  /// thread, inside a profiled request.
   bool Implies(const OrderDependency& dep) const;
   bool Implies(const AttributeList& lhs, const AttributeList& rhs) const {
     return Implies(OrderDependency(lhs, rhs));
   }
-  /// Batch form, fanned directly across the server's scheduler. Results
-  /// are positionally aligned and bit-identical to asking one by one.
+  /// Batch form, fanned across the server's scheduler. Results are
+  /// positionally aligned and bit-identical to asking one by one.
   std::vector<bool> ProveAll(const std::vector<OrderDependency>& deps) const;
   /// A two-row witness relation falsifying `dep` under the pinned catalog,
   /// if not implied (see Prover::Counterexample).
@@ -241,8 +239,8 @@ class Server {
   /// Writer path: applies the sweep to the tenant's master catalog (the
   /// tenant memo is swept per mutation with certificate-checked retention,
   /// while sessions keep reading it at their pinned epochs) and publishes
-  /// ONE new epoch state at the end: the catalog value (by pointer), a
-  /// replica prover on the same memo, and a batcher. Throws
+  /// ONE new epoch state at the end: the catalog value (by pointer) and a
+  /// replica prover on the same memo. Throws
   /// std::out_of_range on unknown tenants.
   ApplyResult Apply(const std::string& tenant,
                     const std::vector<Mutation>& mutations);

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <limits>
+#include <random>
 
 #include "engine/index.h"
 #include "engine/ops.h"
@@ -300,6 +301,33 @@ TEST(TopKTest, MatchesSortPlusLimit) {
   for (int64_t i = 0; i < 25; ++i) {
     EXPECT_EQ(got.col(0).Get(i), full.col(0).Get(i));
     EXPECT_EQ(got.col(1).Get(i), full.col(1).Get(i));
+  }
+}
+
+// The planner may answer ORDER BY ... LIMIT k with TopK or with
+// Limit(Sort), so both must return the same rows when the key ties: those
+// of a stable sort (engine::SortBy) cut at k, on every column.
+TEST(TopKTest, TiesKeepInputOrderLikeSortPlusLimit) {
+  Schema s;
+  s.Add("k", DataType::kInt64);
+  s.Add("row", DataType::kInt64);
+  for (uint32_t seed = 1; seed <= 5; ++seed) {
+    std::mt19937 rng(seed);
+    std::uniform_int_distribution<int64_t> key(0, 2);
+    Table t(s);
+    for (int64_t i = 0; i < 5000; ++i) t.AppendRow({Value(key(rng)), Value(i)});
+    const Table sorted = engine::SortBy(t, {0});
+    for (int64_t k : {10, 100}) {
+      OpPtr topk = TopK(Scan(&t), {0}, k);
+      const Table got = Drain(topk.get());
+      ASSERT_EQ(got.num_rows(), k);
+      for (int64_t i = 0; i < k; ++i) {
+        for (int c = 0; c < t.num_columns(); ++c) {
+          EXPECT_EQ(got.col(c).Get(i), sorted.col(c).Get(i))
+              << "seed " << seed << ", k " << k << ", row " << i;
+        }
+      }
+    }
   }
 }
 

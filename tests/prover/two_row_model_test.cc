@@ -70,19 +70,6 @@ TEST(TwoRowModelTest, FalsifyingModelContract) {
   EXPECT_FALSE(model->Satisfies(target));
 }
 
-TEST(TwoRowModelTest, NonConstantModel) {
-  NameTable names;
-  Parser parser(&names);
-  DependencySet m = *parser.ParseSet("[] -> [k]; [a] -> [b]");
-  // k is pinned constant: no model moves it.
-  EXPECT_FALSE(
-      FindNonConstantModel(m, names.Lookup("k"), m.Attributes()).has_value());
-  // a is free.
-  auto model = FindNonConstantModel(m, names.Lookup("a"), m.Attributes());
-  ASSERT_TRUE(model.has_value());
-  EXPECT_NE(model->Get(names.Lookup("a")), 0);
-}
-
 // The Permutation theorem is deliberately restricted to FD-shaped
 // conclusions: permuting the left side of a general OD is UNSOUND, and the
 // model search exhibits the counterexample.

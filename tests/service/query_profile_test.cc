@@ -405,6 +405,30 @@ TEST_F(TracedServiceTest, SpillSpansCarryTheRequestTrace) {
   EXPECT_GT(spill_spans, 0);
 }
 
+/// A cold Implies searches on the requesting thread, inside its own
+/// request: its one prover.search span is a direct child of the request's
+/// service.implies root.
+TEST_F(TracedServiceTest, ColdImpliesSearchesDirectlyUnderItsRequest) {
+  Server server;
+  server.CreateTenant("qp_cold_implies", warehouse::TaxOds());
+  Session s = server.OpenSession("qp_cold_implies");
+  (void)s.Implies(Od({0}, {1}));
+
+  common::Tracer::Global().Disable();
+  const auto events =
+      ParseSpans(common::Tracer::Global().ExportChromeTrace());
+  std::vector<const SpanEv*> roots;
+  std::vector<const SpanEv*> searches;
+  for (const auto& e : events) {
+    if (e.name == "service.implies") roots.push_back(&e);
+    if (e.name == "prover.search") searches.push_back(&e);
+  }
+  ASSERT_EQ(roots.size(), 1u);
+  ASSERT_EQ(searches.size(), 1u);
+  EXPECT_EQ(searches[0]->trace_id, roots[0]->trace_id);
+  EXPECT_EQ(searches[0]->parent_id, roots[0]->span_id);
+}
+
 /// The writer-path attribution rests on this: an Apply's memo sweeps and
 /// its publication are children of its service.apply span, inside it in
 /// time as well as in the tree.

@@ -5,8 +5,8 @@
 // answer a session observes is recorded with its pinned epoch; afterwards
 // the full mutation history is replayed into fresh single-threaded provers
 // at each recorded epoch and every recorded bit must match. Any torn
-// snapshot, unsound memo retention, misread epoch window, or batching
-// mix-up shows up as a divergence. Sized to run under TSan and ASan in CI
+// snapshot, unsound memo retention, or misread epoch window shows up as a
+// divergence. Sized to run under TSan and ASan in CI
 // (see .github/workflows).
 
 #include <gtest/gtest.h>
@@ -200,7 +200,7 @@ TEST(ServiceChurnTest, DifferentialUnderConcurrentChurnSerialSweeps) {
 TEST(ServiceChurnTest, DifferentialUnderConcurrentChurnPooledSweeps) {
   common::ThreadPool pool(4);
   for (uint32_t seed = 11; seed <= 12; ++seed) {
-    Server server(ServerOptions{&pool, /*max_batch=*/32});
+    Server server(ServerOptions{&pool});
     RunChurn(server, "churn", seed, /*num_attrs=*/6, /*reader_threads=*/6,
              /*writer_sweeps=*/16, /*queries_per_reader=*/32);
   }
@@ -212,7 +212,7 @@ TEST(ServiceChurnTest, MultiTenantChurnIsolated) {
   // (any cross-tenant bleed of catalogs or memos shows up as a
   // divergence).
   common::ThreadPool pool(2);
-  Server server(ServerOptions{&pool, /*max_batch=*/32});
+  Server server(ServerOptions{&pool});
   std::thread a([&] {
     RunChurn(server, "tenant-a", 21, /*num_attrs=*/4, /*reader_threads=*/2,
              /*writer_sweeps=*/12, /*queries_per_reader=*/24);

@@ -1,6 +1,6 @@
 // Functional suite for the multi-tenant OD service: session pinning and
 // snapshot isolation, the tenant memo and its epoch windows, retention
-// across publications, group-commit batching, planning against pinned
+// across publications, concurrent cold queries, planning against pinned
 // snapshots, tenant isolation, and per-tenant labeled metrics
 // round-tripping through both exporters.
 
@@ -281,9 +281,9 @@ TEST(ServiceTest, EntrySurvivingSweepsHitsAtEveryEpochBetween) {
   }
 }
 
-TEST(ServiceTest, ConcurrentImpliesCoalesceIntoBatches) {
+TEST(ServiceTest, ConcurrentImpliesAgreeWithReference) {
   common::ThreadPool pool(4);
-  Server server(ServerOptions{&pool, /*max_batch=*/64});
+  Server server(ServerOptions{&pool});
   server.CreateTenant("t");
   server.Add("t", Od({0}, {1}));
   server.Add("t", Od({1}, {2}));
@@ -309,8 +309,8 @@ TEST(ServiceTest, ConcurrentImpliesCoalesceIntoBatches) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(wrong.load(), 0);
 
-  // Coalescing actually happened: fewer searches than total queries (the
-  // distinct-query space is tiny) and the batch counters moved.
+  // The tenant memo answered the repeats: fewer searches than total
+  // queries (the distinct-query space is tiny).
   TenantStats st = server.Stats("t");
   EXPECT_LT(st.epoch_searches, kThreads * kQueriesPerThread);
 }
