@@ -67,6 +67,7 @@ void ChurnOnce(theory::Theory& th, std::mt19937& rng) {
 void BM_ChurnIncremental(benchmark::State& state) {
   const std::vector<OrderDependency> queries = PairQueries(kAttrs);
   int64_t searches = 0;
+  int64_t split_refutations = 0;
   int64_t retained = 0;
   int64_t sweeps = 0;
   for (auto _ : state) {
@@ -81,6 +82,7 @@ void BM_ChurnIncremental(benchmark::State& state) {
       benchmark::DoNotOptimize(results.size());
     }
     searches += pv.searches_executed();
+    split_refutations += pv.split_refutations();
     retained += pv.entries_retained();
     ++sweeps;
   }
@@ -88,6 +90,8 @@ void BM_ChurnIncremental(benchmark::State& state) {
                           static_cast<int64_t>(queries.size()));
   state.counters["searches_per_sweep"] =
       static_cast<double>(searches) / static_cast<double>(sweeps);
+  state.counters["split_refutations_per_sweep"] =
+      static_cast<double>(split_refutations) / static_cast<double>(sweeps);
   state.counters["retained_per_sweep"] =
       static_cast<double>(retained) / static_cast<double>(sweeps);
 }
@@ -95,6 +99,7 @@ void BM_ChurnIncremental(benchmark::State& state) {
 void BM_ChurnRebuild(benchmark::State& state) {
   const std::vector<OrderDependency> queries = PairQueries(kAttrs);
   int64_t searches = 0;
+  int64_t split_refutations = 0;
   int64_t sweeps = 0;
   for (auto _ : state) {
     std::mt19937 rng(11);
@@ -105,6 +110,7 @@ void BM_ChurnRebuild(benchmark::State& state) {
       auto results = pv.ProveAll(queries);
       benchmark::DoNotOptimize(results.size());
       searches += pv.searches_executed();
+      split_refutations += pv.split_refutations();
     }
     ++sweeps;
   }
@@ -112,6 +118,8 @@ void BM_ChurnRebuild(benchmark::State& state) {
                           static_cast<int64_t>(queries.size()));
   state.counters["searches_per_sweep"] =
       static_cast<double>(searches) / static_cast<double>(sweeps);
+  state.counters["split_refutations_per_sweep"] =
+      static_cast<double>(split_refutations) / static_cast<double>(sweeps);
 }
 
 /// The mutation fast path itself: how much does one Add/Remove pair cost a

@@ -47,14 +47,32 @@ void BM_ImpliedTransitiveChain(benchmark::State& state) {
 }
 
 void BM_NonImpliedWorstCase(benchmark::State& state) {
-  // Refuting [a_{n-1}] ↦ [a_0] requires finding a model — the search must
-  // navigate all constraints.
+  // [a_{n-1}] ↦ [a_0] fails the FD split: a_0 lies outside the closure of
+  // a_{n-1}, so one closure refutes it and the countermodel is the split
+  // block grown greedily over the chain — no model search runs.
   const int n = static_cast<int>(state.range(0));
   DependencySet m = ChainTheory(n);
   const OrderDependency query(AttributeList({n - 1}), AttributeList({0}));
   for (auto _ : state) {
     prover::Prover pv(m);
     benchmark::DoNotOptimize(pv.Implies(query));
+  }
+}
+
+void BM_SwapRefutation(benchmark::State& state) {
+  // [a_0, z] ↦ [z, a_{n-1}], with z outside the chain, passes the FD split
+  // (a_0 determines the whole chain) but fails by a swap, so only the
+  // model search refutes it.
+  const int n = static_cast<int>(state.range(0));
+  DependencySet m = ChainTheory(n);
+  const OrderDependency query(AttributeList({0, n}), AttributeList({n, n - 1}));
+  for (auto _ : state) {
+    prover::Prover pv(m);
+    benchmark::DoNotOptimize(pv.Implies(query));
+    if (pv.searches_executed() != 1) {
+      state.SkipWithError("the query did not reach the model search");
+      break;
+    }
   }
 }
 
@@ -94,6 +112,7 @@ void BM_BoundedClosure(benchmark::State& state) {
 
 BENCHMARK(BM_ImpliedTransitiveChain)->DenseRange(4, 16, 4);
 BENCHMARK(BM_NonImpliedWorstCase)->DenseRange(4, 16, 4);
+BENCHMARK(BM_SwapRefutation)->DenseRange(4, 16, 4);
 BENCHMARK(BM_RandomTheoryImplication)->DenseRange(4, 16, 4);
 BENCHMARK(BM_CachedImplication)->Arg(16);
 BENCHMARK(BM_BoundedClosure)->DenseRange(3, 5)->Unit(benchmark::kMillisecond);

@@ -74,9 +74,10 @@ int main() {
   std::printf("After dropping it again (epoch %llu):\n",
               static_cast<unsigned long long>(theory->epoch()));
   ask("[quarter] -> [month]");
-  std::printf("searches executed: %lld, cache hits: %lld, "
-              "entries retained across churn: %lld\n",
+  std::printf("searches executed: %lld, split refutations: %lld, "
+              "cache hits: %lld, entries retained across churn: %lld\n",
               static_cast<long long>(pv.searches_executed()),
+              static_cast<long long>(pv.split_refutations()),
               static_cast<long long>(pv.cache_hits()),
               static_cast<long long>(pv.entries_retained()));
 

@@ -24,6 +24,7 @@ namespace {
 /// once; references stay valid for the process lifetime.
 struct ProverMetrics {
   common::Counter& searches;
+  common::Counter& split_refutations;
   common::Counter& hits;
   common::Counter& invalidated;
   common::Counter& retained;
@@ -34,7 +35,11 @@ ProverMetrics& Metrics() {
   auto& reg = common::MetricRegistry::Global();
   static ProverMetrics* m = new ProverMetrics{
       reg.GetCounter("od_prover_searches_total",
-                     "Two-row model searches executed (memo misses)"),
+                     "Two-row model searches executed (memo misses the FD "
+                     "split left open)"),
+      reg.GetCounter("od_prover_split_refutations_total",
+                     "Memo misses refuted by the FD split without a model "
+                     "search"),
       reg.GetCounter("od_prover_memo_hits_total",
                      "Prover queries answered from the memo"),
       reg.GetCounter("od_prover_memo_invalidated_total",
@@ -424,6 +429,30 @@ std::vector<int> RelevantConstraints(const DependencySet& m,
   return out;
 }
 
+/// Lemma 10's split block in two-row form: sign 0 on a maximal FD-closed
+/// set Z ⊇ `closed` that misses `b`, +1 on the rest of `universe`. It
+/// satisfies every OD of ℳ (a left side inside Z has its right side inside
+/// Z; any other left side compares +1) and falsifies every X ↦ Y with
+/// set(X) ⊆ Z and b ∈ Y. Z grows greedily in one pass: an attribute whose
+/// closure with Z reaches b still reaches it from any larger Z. Maximal Z
+/// orders few attributes, so the sweeps of later Adds reach few of these
+/// countermodels. `closed` must be FD-closed and miss `b`.
+SignVector SplitCountermodel(const fd::FdSet& fds, AttributeSet closed,
+                             AttributeId b, const AttributeSet& universe) {
+  const AttributeSet target{b};
+  for (AttributeId a : universe.Minus(closed).ToVector()) {
+    if (closed.Contains(a)) continue;
+    const AttributeSet grown = fds.Closure(closed.Union({a}), target);
+    if (!grown.Contains(b)) closed = grown;
+  }
+  const std::vector<AttributeId> attrs = universe.ToVector();
+  SignVector model(attrs.back() + 1);
+  for (AttributeId a : attrs) {
+    if (!closed.Contains(a)) model.Set(a, 1);
+  }
+  return model;
+}
+
 }  // namespace
 
 bool Prover::Implies(const OrderDependency& dep) const {
@@ -434,9 +463,37 @@ bool Prover::Implies(const OrderDependency& dep) const {
 
 std::optional<SignVector> Prover::Search(CacheShard& shard,
                                          const OrderDependency& dep) const {
+  // The split step (Theorems 13 and 15): X ↦ Y holds only if the FD
+  // set(X) → set(Y) does, which one closure over the FD projection decides.
+  // A closure missing some b of set(Y) refutes the query with no search;
+  // the answer is stored like any other, so the sweeps index it and a
+  // repeat is a one-probe hit. For X = [] the split decides outright,
+  // since [] ~ Y always holds: the fired FDs, index-aligned with ℳ, are
+  // the support of an "implied".
+  const fd::FdSet& fds = theory_->fd_projection();
+  const AttributeSet rhs = dep.rhs.ToSet();
+  std::vector<int> used_fds;
+  const AttributeSet closure =
+      fds.Closure(dep.lhs.ToSet(), rhs,
+                  dep.lhs.IsEmpty() ? &used_fds : nullptr);
+  const AttributeSet missing = rhs.Minus(closure);
+  if (!missing.IsEmpty()) {
+    split_refutations_.fetch_add(1, std::memory_order_relaxed);
+    Metrics().split_refutations.Add();
+    SignVector model = SplitCountermodel(
+        fds, closure, missing.ToVector().front(),
+        theory_->attributes().Union(dep.Attributes()));
+    CacheStore(shard, dep, false, {}, model);
+    return model;
+  }
+  if (dep.lhs.IsEmpty()) {
+    CacheStore(shard, dep, true, used_fds, std::nullopt);
+    return std::nullopt;
+  }
+
   // Search outside the lock: a racing duplicate re-derives the same answer.
-  // One counter tick per cache-miss resolution, even when the relevance
-  // phase below falls through to the full search.
+  // One counter tick per search, even when the relevance phase below falls
+  // through to the full search.
   searches_executed_.fetch_add(1, std::memory_order_relaxed);
   Metrics().searches.Add();
   OD_TRACE_SPAN("prover.search");
@@ -545,29 +602,11 @@ bool Prover::ImpliesFd(const AttributeSet& lhs,
 }
 
 bool Prover::IsConstant(AttributeId a) const {
-  // No constraints: σ[a] = +1 on its own is a model, so nothing is
-  // constant — answer without a search.
-  if (theory_->IsEmpty()) return false;
-  const OrderDependency dep(AttributeList::EmptyList(), AttributeList({a}));
-  CacheShard& shard = ShardFor(dep);
-  if (auto hit = Probe(shard, dep)) return *hit;
-  // [] ↦ [a] is FD-shaped, so ℱ ⊨ ∅ → a already decides the positive case
-  // in polynomial time (Theorem 13/16). Seed the memo — with the closure's
-  // fired FDs as the support certificate, since the projection is
-  // index-aligned with ℳ — so a later Implies([] ↦ [a]) agrees without
-  // searching either.
-  std::vector<int> used_fds;
-  if (theory_->fd_projection().Implies(AttributeSet::Empty(),
-                                       AttributeSet({a}), &used_fds)) {
-    CacheStore(shard, dep, true, used_fds, std::nullopt);
-    return true;
-  }
-  return !Search(shard, dep).has_value();
+  return Implies(AttributeList::EmptyList(), AttributeList({a}));
 }
 
 AttributeSet Prover::Constants() const {
   AttributeSet out;
-  if (theory_->IsEmpty()) return out;
   for (AttributeId a : theory_->attributes().ToVector()) {
     if (IsConstant(a)) out.Add(a);
   }
@@ -599,6 +638,7 @@ Relation Prover::MaterializeCounterexample(const SignVector& model) const {
 
 void Prover::ResetStats() {
   searches_executed_.store(0, std::memory_order_relaxed);
+  split_refutations_.store(0, std::memory_order_relaxed);
   cache_hits_.store(0, std::memory_order_relaxed);
   entries_invalidated_.store(0, std::memory_order_relaxed);
   entries_retained_.store(0, std::memory_order_relaxed);

@@ -25,10 +25,13 @@ namespace prover {
 /// given a set of prescribed ODs ℳ and an arbitrary dependency X ↦ Y,
 /// efficiently decide whether ℳ logically implies X ↦ Y.
 ///
-/// Decision procedure (exact): two-row model search (see two_row_model.h).
-/// FD-style questions (split side) are answered in polynomial time through
-/// the FD projection (justified by Theorem 16); the general question falls
-/// back to the exponential-but-pruned model search, with memoization.
+/// Decision procedure (exact), on a memo miss: first the split step, then
+/// the two-row model search (see two_row_model.h). X ↦ Y holds only if the
+/// FD set(X) → set(Y) does (Theorems 13 and 15), which one closure over the
+/// FD projection decides in polynomial time (Theorem 16). A query that
+/// fails it is refuted with Lemma 10's split block as its countermodel; a
+/// query with X = [] is decided by it outright. Only the queries the split
+/// leaves open pay for the exponential-but-pruned model search.
 ///
 /// ## Versioned theories and incremental re-proving
 ///
@@ -174,20 +177,19 @@ class Prover {
   /// decided in polynomial time via attribute-set closure.
   bool ImpliesFd(const AttributeSet& lhs, const AttributeSet& rhs) const;
 
-  /// ℳ ⊨ [] ↦ [a] (Definition 18: `a` is a constant). Short-circuits
-  /// through the FD projection — [] ↦ [a] is FD-shaped, so ℱ ⊨ ∅ → a
-  /// already proves it without a model search — and an empty ℳ (nothing is
-  /// constant under no constraints) before falling back to the search.
+  /// ℳ ⊨ [] ↦ [a] (Definition 18: `a` is a constant): Implies on that
+  /// query, which the split step decides without a model search.
   bool IsConstant(AttributeId a) const;
   /// All constant attributes among those mentioned in ℳ.
   AttributeSet Constants() const;
 
   /// A two-row relation satisfying ℳ and falsifying `dep`, if ℳ ⊭ dep.
-  /// Shares the memo probe and the search with Implies: a cached "implied"
-  /// answers nullopt and a cached "not implied" materializes the stored
-  /// countermodel (the memo sweeps guarantee it is still a countermodel
-  /// for the *current* ℳ), both without a search; a cold query runs the
-  /// one search Implies would and returns the countermodel it stored.
+  /// Shares the memo probe and the miss path with Implies: a cached
+  /// "implied" answers nullopt and a cached "not implied" materializes the
+  /// stored countermodel (the memo sweeps guarantee it is still a
+  /// countermodel for the *current* ℳ), both without a search; a cold query
+  /// takes the split step and search Implies would and returns the
+  /// countermodel it stored (a split block if the split refuted it).
   /// The relation is zero-extended to the current attribute universe, so
   /// it satisfies every live constraint even ones declared after the model
   /// was first derived.
@@ -195,12 +197,18 @@ class Prover {
 
   /// ## Statistics
   ///
-  /// `searches_executed()` counts model searches actually run (cache
-  /// misses); `cache_hits()` counts queries answered from the memo without
-  /// a search. Under concurrent duplicate queries, executed searches may
-  /// exceed the number of distinct queries (see class comment).
+  /// `searches_executed()` counts model searches actually run: the memo
+  /// misses the split step left open. `split_refutations()` counts the
+  /// misses the split step refuted without one. `cache_hits()` counts
+  /// queries answered from the memo. A miss with X = [] is decided by the
+  /// split step and counts in neither miss counter when implied. Under
+  /// concurrent duplicate queries, misses may exceed the number of distinct
+  /// queries (see class comment).
   int64_t searches_executed() const {
     return searches_executed_.load(std::memory_order_relaxed);
+  }
+  int64_t split_refutations() const {
+    return split_refutations_.load(std::memory_order_relaxed);
   }
   int64_t cache_hits() const {
     return cache_hits_.load(std::memory_order_relaxed);
@@ -260,9 +268,11 @@ class Prover {
   std::optional<bool> Probe(
       CacheShard& shard, const OrderDependency& dep,
       std::optional<SignVector>* countermodel = nullptr) const;
-  /// The miss path every query shares: counts and traces one search, tries
-  /// the relevance closure of `dep`, then the full catalog, stores the
-  /// answer, and returns its countermodel (nullopt: implied).
+  /// The miss path every query shares: the split step, which refutes `dep`
+  /// (or, for X = [], decides it) without a search; else one counted and
+  /// traced search over the relevance closure of `dep`, then the full
+  /// catalog. Stores the answer and returns its countermodel (nullopt:
+  /// implied).
   std::optional<SignVector> Search(CacheShard& shard,
                                    const OrderDependency& dep) const;
   /// Records an answer derived at epoch() (exclusive lock), open-ended if
@@ -292,6 +302,7 @@ class Prover {
   // from whichever thread asked: a cache line of their own keeps the
   // counters' traffic off the pointers.
   alignas(64) mutable std::atomic<int64_t> searches_executed_{0};
+  mutable std::atomic<int64_t> split_refutations_{0};
   mutable std::atomic<int64_t> cache_hits_{0};
   mutable std::atomic<int64_t> entries_invalidated_{0};
   mutable std::atomic<int64_t> entries_retained_{0};

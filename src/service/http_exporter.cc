@@ -162,6 +162,8 @@ std::string HttpExporter::StatuszJson() const {
       out += ",\"pinned_sessions\":" + std::to_string(stats.pinned_sessions);
       out += ",\"epoch_memo_size\":" + std::to_string(stats.epoch_memo_size);
       out += ",\"epoch_searches\":" + std::to_string(stats.epoch_searches);
+      out += ",\"epoch_split_refutations\":" +
+             std::to_string(stats.epoch_split_refutations);
       out +=
           ",\"epoch_cache_hits\":" + std::to_string(stats.epoch_cache_hits);
       out += ",\"profiles_recorded\":" +

@@ -29,6 +29,7 @@ const char* QueryProfile::KindName(Kind k) {
     case Kind::kPlan: return "plan";
     case Kind::kExecute: return "execute";
     case Kind::kApply: return "apply";
+    case Kind::kCounterexample: return "counterexample";
   }
   return "unknown";
 }
@@ -45,6 +46,8 @@ std::string QueryProfile::ToJson() const {
   out += ",\"start_us\":" + std::to_string(start_us);
   out += ",\"wall_us\":" + std::to_string(wall_us);
   out += ",\"prover_searches\":" + std::to_string(prover_searches);
+  out += ",\"prover_split_refutations\":" +
+         std::to_string(prover_split_refutations);
   out += ",\"prover_cache_hits\":" + std::to_string(prover_cache_hits);
   out += ",\"sorts_elided\":" + std::to_string(sorts_elided);
   out += ",\"joins_elided\":" + std::to_string(joins_elided);

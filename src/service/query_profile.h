@@ -8,16 +8,23 @@ namespace od {
 namespace service {
 
 /// The per-request record the service's flight recorder keeps: one
-/// profiled request (an Implies miss, a ProveAll sweep, a Plan, a plan
-/// Execute, or a writer Apply) reduced to the counters an operator asks
-/// for first. Assembled from *scoped deltas* of the pinned epoch prover's
-/// counters and the request's own ExecStats — never from global registry
-/// totals, so two concurrent requests don't bleed into each other's
-/// profiles (the prover deltas are still approximate when sessions share
-/// an epoch prover under concurrency; that caveat is documented, not
-/// hidden).
+/// profiled request (an Implies miss, a ProveAll sweep, a Counterexample,
+/// a Plan, a plan Execute, or a writer Apply) reduced to the counters an
+/// operator asks for first. Assembled from *scoped deltas* of the pinned
+/// epoch prover's counters and the request's own ExecStats — never from
+/// global registry totals, so two concurrent requests don't bleed into
+/// each other's profiles (the prover deltas are still approximate when
+/// sessions share an epoch prover under concurrency; that caveat is
+/// documented, not hidden).
 struct QueryProfile {
-  enum class Kind { kImplies, kProveAll, kPlan, kExecute, kApply };
+  enum class Kind {
+    kImplies,
+    kProveAll,
+    kPlan,
+    kExecute,
+    kApply,
+    kCounterexample
+  };
 
   Kind kind = Kind::kImplies;
   std::string tenant;
@@ -34,8 +41,10 @@ struct QueryProfile {
   int64_t wall_us = 0;
 
   /// Prover work attributable to this request (before/after deltas of the
-  /// pinned epoch prover).
+  /// pinned epoch prover): model searches, memo misses the FD split
+  /// refuted without one, and memo answers.
   int64_t prover_searches = 0;
+  int64_t prover_split_refutations = 0;
   int64_t prover_cache_hits = 0;
 
   /// Planner / executor outcomes (kPlan and kExecute; zero elsewhere).

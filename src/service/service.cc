@@ -78,7 +78,8 @@ struct TenantMetrics {
         request_us(reg.GetHistogram(
             "od_service_request_us",
             "Wall time of profiled requests (Implies misses, ProveAll, "
-            "Plan, Execute, Apply; memo fast-path hits excluded)",
+            "Counterexample, Plan, Execute, Apply; memo fast-path hits "
+            "excluded)",
             label)) {}
 };
 
@@ -190,6 +191,7 @@ class RequestProfiler {
             .count();
     if (prover_ != nullptr) {
       searches_before_ = prover_->searches_executed();
+      split_before_ = prover_->split_refutations();
       hits_before_ = prover_->cache_hits();
     }
   }
@@ -202,6 +204,8 @@ class RequestProfiler {
     if (prover_ != nullptr) {
       profile_.prover_searches =
           prover_->searches_executed() - searches_before_;
+      profile_.prover_split_refutations =
+          prover_->split_refutations() - split_before_;
       profile_.prover_cache_hits = prover_->cache_hits() - hits_before_;
     }
     tenant_->RecordProfile(std::move(profile_));
@@ -229,6 +233,7 @@ class RequestProfiler {
   common::TraceSpan root_;
   std::chrono::steady_clock::time_point start_;
   int64_t searches_before_ = 0;
+  int64_t split_before_ = 0;
   int64_t hits_before_ = 0;
   QueryProfile profile_;
 };
@@ -335,6 +340,11 @@ std::vector<bool> Session::ProveAll(
 
 std::optional<Relation> Session::Counterexample(
     const OrderDependency& dep) const {
+  tenant_->metrics.implies.Add();
+  internal::RequestProfiler prof(tenant_, state_->prover.get(), epoch(),
+                                 QueryProfile::Kind::kCounterexample,
+                                 "service.counterexample");
+  prof.profile().detail = dep.ToString();
   return state_->prover->Counterexample(dep);
 }
 
@@ -500,6 +510,7 @@ TenantStats Server::Stats(const std::string& tenant) const {
   stats.catalog_size = published->snapshot->deps.Size();
   stats.epoch_memo_size = published->prover->memo_size();
   stats.epoch_searches = published->prover->searches_executed();
+  stats.epoch_split_refutations = published->prover->split_refutations();
   stats.epoch_cache_hits = published->prover->cache_hits();
   stats.memo_invalidated = state.master_prover->entries_invalidated();
   stats.memo_retained = state.master_prover->entries_retained();

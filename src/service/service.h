@@ -109,9 +109,11 @@ struct TenantStats {
   uint64_t epoch = 0;
   int catalog_size = 0;
   /// Entries in the tenant's memo (every epoch window), and the published
-  /// epoch prover's query counters.
+  /// epoch prover's query counters: its memo misses are the model
+  /// searches plus the FD-split refutations.
   int64_t epoch_memo_size = 0;
   int64_t epoch_searches = 0;
+  int64_t epoch_split_refutations = 0;
   int64_t epoch_cache_hits = 0;
   /// The memo sweeps' retention counters (see
   /// Prover::entries_invalidated / entries_retained).
@@ -169,7 +171,9 @@ class Session {
   /// positionally aligned and bit-identical to asking one by one.
   std::vector<bool> ProveAll(const std::vector<OrderDependency>& deps) const;
   /// A two-row witness relation falsifying `dep` under the pinned catalog,
-  /// if not implied (see Prover::Counterexample).
+  /// if not implied (see Prover::Counterexample). Always a profiled
+  /// request, counted with the Implies queries: a cold one searches like a
+  /// cold Implies.
   std::optional<Relation> Counterexample(const OrderDependency& dep) const;
 
   /// Cost-based physical planning against the pinned snapshot: every

@@ -174,6 +174,8 @@ TEST_P(GeneratorCompletenessTest, SatisfiesAndComplete) {
     }
   }
   EXPECT_GT(checked, 0);
+  // The oracle covers the prover's split route to "not implied" too.
+  EXPECT_GT(pv.split_refutations(), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

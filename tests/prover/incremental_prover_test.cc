@@ -1,10 +1,10 @@
 // Incremental re-proving: memo retention across Theory mutations, the
-// split stats API, the churn-sweep search-reduction gate (the prover
-// must execute ≥5× fewer model searches than rebuild-from-scratch on a
-// 90%-retained add/drop workload — the headline economics of the
-// versioned-theory redesign), and what a sweep reaches through the memo's
-// certificate index. Counts are deterministic serially, so these are
-// exact assertions, not timing-based flakes.
+// split stats API, the churn-sweep miss-reduction gate (the prover must
+// take ≥5× fewer memo misses than rebuild-from-scratch on a 90%-retained
+// add/drop workload — the headline economics of the versioned-theory
+// redesign), and what a sweep reaches through the memo's certificate
+// index. Counts are deterministic serially, so these are exact
+// assertions, not timing-based flakes.
 
 #include <gtest/gtest.h>
 
@@ -69,12 +69,14 @@ TEST(IncrementalProverTest, PositiveSurvivesIrrelevantRemove) {
   EXPECT_LT(*pv.entry_epoch(q), pv.epoch());
 
   // Dropping the supporting constraint evicts the entry, and the fresh
-  // search flips the answer and re-tags it at the current epoch.
+  // miss (refuted by the FD split) flips the answer and re-tags it at the
+  // current epoch.
   th->Remove(ab);
   EXPECT_GE(pv.entries_invalidated(), 1);
   EXPECT_FALSE(pv.entry_epoch(q).has_value());
   EXPECT_FALSE(pv.Implies(q));
-  EXPECT_EQ(pv.searches_executed(), 2);
+  EXPECT_EQ(pv.searches_executed(), 1);
+  EXPECT_EQ(pv.split_refutations(), 1);
   EXPECT_EQ(*pv.entry_epoch(q), pv.epoch());
 }
 
@@ -101,20 +103,22 @@ TEST(IncrementalProverTest, NegativeSurvivesCompatibleAdd) {
   Prover pv(th);
   const OrderDependency q(AttributeList({1}), AttributeList({0}));
   EXPECT_FALSE(pv.Implies(q));
-  EXPECT_EQ(pv.searches_executed(), 1);
+  EXPECT_EQ(pv.split_refutations(), 1);
 
   // An unrelated constraint over fresh attributes: the stored countermodel
   // zero-extends to satisfy it, so the negative entry survives the add.
   th->Add(AttributeList({4}), AttributeList({5}));
   EXPECT_FALSE(pv.Implies(q));
-  EXPECT_EQ(pv.searches_executed(), 1);
+  EXPECT_EQ(pv.split_refutations(), 1);
   EXPECT_GE(pv.entries_retained(), 1);
 
   // A constraint the countermodel violates evicts the entry — and here the
   // answer genuinely flips, which an unsound retention would have missed.
+  // The split now holds, so the fresh miss searches.
   th->Add(AttributeList({1}), AttributeList({0}));
   EXPECT_TRUE(pv.Implies(q));
-  EXPECT_EQ(pv.searches_executed(), 2);
+  EXPECT_EQ(pv.split_refutations(), 1);
+  EXPECT_EQ(pv.searches_executed(), 1);
 }
 
 TEST(IncrementalProverTest, NegativesAlwaysSurviveRemoves) {
@@ -124,11 +128,12 @@ TEST(IncrementalProverTest, NegativesAlwaysSurviveRemoves) {
   Prover pv(th);
   const OrderDependency q(AttributeList({1}), AttributeList({2}));
   EXPECT_FALSE(pv.Implies(q));
-  EXPECT_EQ(pv.searches_executed(), 1);
+  EXPECT_EQ(pv.split_refutations(), 1);
   th->Remove(ab);
-  // ℳ only shrank: the countermodel still works, no re-search.
+  // ℳ only shrank: the countermodel still works, no re-derivation.
   EXPECT_FALSE(pv.Implies(q));
-  EXPECT_EQ(pv.searches_executed(), 1);
+  EXPECT_EQ(pv.split_refutations(), 1);
+  EXPECT_EQ(pv.cache_hits(), 1);
 }
 
 TEST(IncrementalProverTest, EpochTracksTheory) {
@@ -178,11 +183,16 @@ std::vector<OrderDependency> PairQueries(int n) {
   return queries;
 }
 
+/// Memo misses: the model searches plus the misses the FD split refuted.
+int64_t Misses(const Prover& pv) {
+  return pv.searches_executed() + pv.split_refutations();
+}
+
 TEST(IncrementalProverTest, ChurnSweepExecutesFiveTimesFewerSearches) {
   // The acceptance gate: a 90%-retained churn sweep (each epoch drops one
   // of the ~10 constraints and declares a replacement, then re-answers the
-  // full workload) must cost the incremental prover ≥5× fewer executed
-  // model searches than rebuilding a prover from scratch at every epoch.
+  // full workload) must cost the incremental prover ≥5× fewer memo misses
+  // than rebuilding a prover from scratch at every epoch.
   const int n = 11;
   const int kEpochs = 25;
   std::mt19937 rng(7);
@@ -206,10 +216,10 @@ TEST(IncrementalProverTest, ChurnSweepExecutesFiveTimesFewerSearches) {
 
     Prover rebuilt(th->deps());
     rebuilt.ProveAll(queries);
-    rebuild_searches += rebuilt.searches_executed();
+    rebuild_searches += Misses(rebuilt);
   }
 
-  const int64_t incremental_searches = incremental.searches_executed();
+  const int64_t incremental_searches = Misses(incremental);
   ASSERT_GT(incremental_searches, 0);  // churn does evict something
   EXPECT_GE(rebuild_searches, 5 * incremental_searches)
       << "incremental=" << incremental_searches
@@ -272,6 +282,7 @@ TEST(IncrementalProverTest, AddNoCountermodelOrdersReachesNothing) {
   EXPECT_EQ(pv.memo_size(), negatives + warm.positives);
   pv.ProveAll(warm.queries);
   EXPECT_EQ(pv.searches_executed(), 0);
+  EXPECT_EQ(pv.split_refutations(), 0);
 }
 
 TEST(IncrementalProverTest, RemoveNoSupportNamesReachesNothing) {
@@ -348,6 +359,36 @@ TEST(IncrementalProverTest, AddWithRepeatedRhsAttributeEvictsEachOnce) {
   // visit, and evict, each reached negative once.
   ExpectAddReachesOrderingNegatives(
       OrderDependency(AttributeList({3}), AttributeList({2, 2})), 2);
+}
+
+TEST(IncrementalProverTest, SplitCountermodelsLeaveUnqueriedAttributesEqual) {
+  // ODs over four attributes (8-11) that no query mentions, like
+  // implies_churn's churning attributes. Every chain query [i] ↦ [j] with
+  // j < i fails the FD split. Its countermodel's zero set grows past
+  // closure({i}) to take in 8-11, whose closures never reach j, so an Add
+  // with its right side among them reaches none of these negatives. With
+  // Z = closure({i}) alone each countermodel would order all four.
+  const int n = 6;
+  DependencySet m = ChainTheory(n);
+  m.Add(AttributeList({8}), AttributeList({9}));
+  m.Add(AttributeList({9, 10}), AttributeList({11}));
+  m.Add(AttributeList({11}), AttributeList({10, 8}));
+  auto th = std::make_shared<theory::Theory>(m);
+  Prover pv(th);
+  int64_t refuted = 0;
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < i; ++j) {
+      EXPECT_FALSE(pv.Implies(AttributeList({i}), AttributeList({j})));
+      ++refuted;
+    }
+  }
+  EXPECT_EQ(pv.split_refutations(), refuted);
+  EXPECT_EQ(pv.searches_executed(), 0);
+
+  th->Add(AttributeList({9}), AttributeList({11, 10}));
+  EXPECT_EQ(pv.last_sweep_reached(), 0);
+  EXPECT_EQ(pv.entries_invalidated(), 0);
+  EXPECT_EQ(pv.last_sweep_kept(), refuted);
 }
 
 TEST(IncrementalProverTest, AnswersStoredBehindTheHeadDropAtTheNextSweep) {

@@ -87,8 +87,12 @@ TEST_P(ProverConcurrencyTest, HammeredProverMatchesSerial) {
   EXPECT_EQ(mismatches.load(), 0);
   // Duplicate races may re-run a search, but never more than once per
   // thread per distinct query — and the serial count is a lower bound.
+  // The same holds for the misses the FD split refutes.
   EXPECT_GE(shared.searches_executed(), serial.searches_executed());
   EXPECT_LE(shared.searches_executed(), serial.searches_executed() * kThreads);
+  EXPECT_GE(shared.split_refutations(), serial.split_refutations());
+  EXPECT_LE(shared.split_refutations(),
+            serial.split_refutations() * kThreads);
 }
 
 TEST_P(ProverConcurrencyTest, ProveAllMatchesSerialLoop) {

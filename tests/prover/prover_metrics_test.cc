@@ -24,6 +24,7 @@ DependencySet Parse(NameTable* names, const std::string& text) {
 
 struct RegistryView {
   int64_t searches;
+  int64_t split_refutations;
   int64_t hits;
 };
 
@@ -31,6 +32,7 @@ RegistryView ReadRegistry() {
   common::MetricRegistry& reg = common::MetricRegistry::Global();
   return RegistryView{
       reg.GetCounter("od_prover_searches_total").Value(),
+      reg.GetCounter("od_prover_split_refutations_total").Value(),
       reg.GetCounter("od_prover_memo_hits_total").Value(),
   };
 }
@@ -66,15 +68,39 @@ TEST(ProverMetricsTest, CachedPathAddsZeroSearches) {
   EXPECT_EQ(after_warm.hits - before_warm.hits, inst_hit_delta);
 }
 
+TEST(ProverMetricsTest, SplitRefutationsMirrorTheRegistry) {
+  NameTable names;
+  Prover pv(Parse(&names, "[a] -> [b]"));
+  const AttributeId a = names.Lookup("a");
+  const AttributeId b = names.Lookup("b");
+  // [b] ↦ [a] fails the FD split: one refutation, no search, in the
+  // instance and the registry alike.
+  const RegistryView before = ReadRegistry();
+  EXPECT_FALSE(pv.Implies(AttributeList({b}), AttributeList({a})));
+  EXPECT_EQ(pv.split_refutations(), 1);
+  EXPECT_EQ(pv.searches_executed(), 0);
+  const RegistryView after = ReadRegistry();
+  EXPECT_EQ(after.split_refutations - before.split_refutations, 1);
+  EXPECT_EQ(after.searches, before.searches);
+  // The repeat is a memo hit, not a second refutation.
+  EXPECT_FALSE(pv.Implies(AttributeList({b}), AttributeList({a})));
+  EXPECT_EQ(pv.split_refutations(), 1);
+  EXPECT_EQ(ReadRegistry().split_refutations, after.split_refutations);
+}
+
 TEST(ProverMetricsTest, SearchDepthHistogramRecordsUniverseSizes) {
   common::MetricRegistry& reg = common::MetricRegistry::Global();
   common::Histogram& depth = reg.GetHistogram("od_prover_search_depth");
   const int64_t before = depth.Count();
   NameTable names;
   Prover pv(Parse(&names, "[a] -> [b]"));
+  const AttributeId a = names.Lookup("a");
+  const AttributeId b = names.Lookup("b");
+  // A miss the FD split refutes runs no search and records nothing.
+  EXPECT_FALSE(pv.Implies(AttributeList({b}), AttributeList({a})));
+  EXPECT_EQ(depth.Count(), before);
   // A miss that needs a model search records the universe it branched over.
-  EXPECT_FALSE(pv.Implies(AttributeList({names.Lookup("b")}),
-                          AttributeList({names.Lookup("a")})));
+  EXPECT_TRUE(pv.Implies(AttributeList({a}), AttributeList({b})));
   EXPECT_GT(depth.Count(), before);
 }
 

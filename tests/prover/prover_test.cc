@@ -166,11 +166,14 @@ TEST(ProverTest, CounterexampleSharesTheMemo) {
 
   // A cached "not implied" stores the falsifying model itself: the
   // Counterexample call materializes it as a cache hit, no extra search.
+  // [b] ↦ [a] fails the FD split, so its miss refutes without a search.
   EXPECT_FALSE(pv.Implies(refuted));
-  EXPECT_EQ(pv.searches_executed(), 2);
+  EXPECT_EQ(pv.searches_executed(), 1);
+  EXPECT_EQ(pv.split_refutations(), 1);
   auto cex = pv.Counterexample(refuted);
   ASSERT_TRUE(cex.has_value());
-  EXPECT_EQ(pv.searches_executed(), 2);
+  EXPECT_EQ(pv.searches_executed(), 1);
+  EXPECT_EQ(pv.split_refutations(), 1);
   EXPECT_EQ(pv.cache_hits(), 2);  // the implied probe above, plus this one
   // The cached model is a genuine countermexample: satisfies ℳ, breaks dep.
   EXPECT_TRUE(Satisfies(*cex, pv.deps()));
@@ -182,12 +185,13 @@ TEST(ProverTest, CounterexamplePopulatesTheMemo) {
   Prover pv(Parse(&names, "[a] -> [b]"));
   const OrderDependency refuted(AttributeList({names.Lookup("b")}),
                                 AttributeList({names.Lookup("a")}));
-  // Counterexample first: one search, and the boolean lands in the memo so
-  // the subsequent Implies is a pure lookup.
+  // Counterexample first: one miss (refuted by the FD split), and the
+  // boolean lands in the memo so the subsequent Implies is a pure lookup.
   EXPECT_TRUE(pv.Counterexample(refuted).has_value());
-  EXPECT_EQ(pv.searches_executed(), 1);
+  EXPECT_EQ(pv.split_refutations(), 1);
   EXPECT_FALSE(pv.Implies(refuted));
-  EXPECT_EQ(pv.searches_executed(), 1);
+  EXPECT_EQ(pv.split_refutations(), 1);
+  EXPECT_EQ(pv.cache_hits(), 1);
 }
 
 TEST(ProverTest, ConstantsShortCircuitThroughFdProjection) {
@@ -213,13 +217,21 @@ TEST(ProverTest, EmptyTheoryConstantsNeedNoSearch) {
 }
 
 TEST(ProverTest, FdConstantStillFallsBackForNonConstants) {
-  // k is FD-constant; a is not constant at all — the fallback search must
-  // still run (and answer correctly) where the projection is silent.
+  // k is FD-constant; a is not constant at all. The FD split decides both
+  // constancy questions, but a query it leaves open — its FD holds, so
+  // only the swap side is in doubt — must still run the search (and
+  // answer correctly).
   NameTable names;
   Prover pv(Parse(&names, "[] -> [k]; [a] -> [b]"));
-  EXPECT_TRUE(pv.IsConstant(names.Lookup("k")));
+  const AttributeId a = names.Lookup("a");
+  const AttributeId b = names.Lookup("b");
+  const AttributeId k = names.Lookup("k");
+  EXPECT_TRUE(pv.IsConstant(k));
   EXPECT_EQ(pv.searches_executed(), 0);
-  EXPECT_FALSE(pv.IsConstant(names.Lookup("a")));
+  EXPECT_FALSE(pv.IsConstant(a));
+  EXPECT_EQ(pv.searches_executed(), 0);
+  EXPECT_EQ(pv.split_refutations(), 1);
+  EXPECT_TRUE(pv.Implies(AttributeList({a}), AttributeList({k, b})));
   EXPECT_EQ(pv.searches_executed(), 1);
 }
 

@@ -118,6 +118,35 @@ TEST(QueryProfileTest, ImpliesMissProfiledFastpathHitNot) {
   EXPECT_GE(p.prover_searches, 1) << "miss should have searched";
 }
 
+/// A cold Implies the FD split refutes is a memo miss like any other: it
+/// is profiled, and its profile and the tenant's stats carry it as a split
+/// refutation, not a model search.
+TEST(QueryProfileTest, SplitRefutedMissIsProfiledAsARefutation) {
+  Server server;
+  server.CreateTenant("qp_split");
+  server.Add("qp_split", Od({0}, {1}));
+  Session s = server.OpenSession("qp_split");
+
+  ASSERT_FALSE(s.Implies(Od({1}, {0})));  // the FD {1} → {0} fails
+  const auto tail = server.FlightRecorderTail("qp_split");
+  ASSERT_FALSE(tail.empty());
+  const QueryProfile& p = tail.back();
+  EXPECT_EQ(p.kind, QueryProfile::Kind::kImplies);
+  EXPECT_EQ(p.prover_searches, 0);
+  EXPECT_EQ(p.prover_split_refutations, 1);
+  EXPECT_EQ(p.prover_cache_hits, 0);
+  EXPECT_NE(p.ToJson().find("\"prover_split_refutations\":1"),
+            std::string::npos);
+  const TenantStats st = server.Stats("qp_split");
+  EXPECT_EQ(st.epoch_searches, 0);
+  EXPECT_EQ(st.epoch_split_refutations, 1);
+
+  // The repeat is a memo hit on the fast path: no profile, no miss.
+  ASSERT_FALSE(s.Implies(Od({1}, {0})));
+  EXPECT_EQ(server.FlightRecorderTail("qp_split").size(), tail.size());
+  EXPECT_EQ(server.Stats("qp_split").epoch_split_refutations, 1);
+}
+
 TEST(QueryProfileTest, ProveAllAndPlanAndApplyKinds) {
   common::ThreadPool pool(2);
   ServerOptions opts;
@@ -245,6 +274,20 @@ TEST(QueryProfileTest, DumpFlightRecorderCoversAllTenants) {
   EXPECT_NE(json.find("\"kind\":\"apply\""), std::string::npos);
 }
 
+/// Runs a test with the tracer on and cleared. The tracer exists in both
+/// builds; with spans compiled out it records nothing.
+class TracedServiceTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    common::Tracer::Global().Clear();
+    common::Tracer::Global().Enable();
+  }
+  void TearDown() override {
+    common::Tracer::Global().Disable();
+    common::Tracer::Global().Clear();
+  }
+};
+
 #if OD_TRACE_ENABLED
 
 struct SpanEv {
@@ -282,18 +325,6 @@ std::vector<SpanEv> ParseSpans(const std::string& json) {
   }
   return events;
 }
-
-class TracedServiceTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    common::Tracer::Global().Clear();
-    common::Tracer::Global().Enable();
-  }
-  void TearDown() override {
-    common::Tracer::Global().Disable();
-    common::Tracer::Global().Clear();
-  }
-};
 
 /// The PR's acceptance bar: a dop-4 daily-sales run planned AND executed
 /// through a Session exports a Chrome trace where every exchange-producer
@@ -469,6 +500,50 @@ TEST_F(TracedServiceTest, ApplySweepsAndPublishNestInsideApply) {
 }
 
 #endif  // OD_TRACE_ENABLED
+
+/// A cold Counterexample searches like a cold Implies, so it is a profiled
+/// request: it records a counterexample profile, counts with the Implies
+/// queries, and its prover.search span is a direct child of its
+/// service.counterexample root. [a, b] ↦ [b, a] over an empty catalog
+/// passes the FD split, so the miss runs the model search.
+TEST_F(TracedServiceTest, ColdCounterexampleIsAProfiledRequest) {
+  const std::string tenant = "qp_counterexample";
+  Server server;
+  server.CreateTenant(tenant);
+  Session s = server.OpenSession(tenant);
+  common::Counter& implies = common::MetricRegistry::Global().GetCounter(
+      "od_service_implies_total", "", common::FormatLabel("tenant", tenant));
+  const int64_t implies_before = implies.Value();
+  ASSERT_EQ(server.Stats(tenant).profiles_recorded, 0);
+
+  ASSERT_TRUE(s.Counterexample(Od({0, 1}, {1, 0})).has_value());
+  EXPECT_EQ(implies.Value() - implies_before, 1);
+  const auto tail = server.FlightRecorderTail(tenant);
+  ASSERT_EQ(tail.size(), 1u);
+  const QueryProfile& p = tail.back();
+  EXPECT_EQ(p.kind, QueryProfile::Kind::kCounterexample);
+  EXPECT_STREQ(QueryProfile::KindName(p.kind), "counterexample");
+  EXPECT_EQ(p.prover_searches, 1);
+  EXPECT_FALSE(p.detail.empty());
+
+#if OD_TRACE_ENABLED
+  common::Tracer::Global().Disable();
+  const auto events =
+      ParseSpans(common::Tracer::Global().ExportChromeTrace());
+  std::vector<const SpanEv*> roots;
+  std::vector<const SpanEv*> searches;
+  for (const auto& e : events) {
+    if (e.name == "service.counterexample") roots.push_back(&e);
+    if (e.name == "prover.search") searches.push_back(&e);
+  }
+  ASSERT_EQ(roots.size(), 1u);
+  ASSERT_EQ(searches.size(), 1u);
+  EXPECT_NE(roots[0]->trace_id, 0u);
+  EXPECT_EQ(p.trace_id, roots[0]->trace_id);
+  EXPECT_EQ(searches[0]->trace_id, roots[0]->trace_id);
+  EXPECT_EQ(searches[0]->parent_id, roots[0]->span_id);
+#endif  // OD_TRACE_ENABLED
+}
 
 }  // namespace
 }  // namespace service

@@ -188,13 +188,17 @@ TEST(ServiceTest, PublicationCarriesMemoAcrossEpochs) {
   EXPECT_EQ(st.memo_invalidated, 0);
 
   // Re-ask at the new epoch: every warmed answer comes from the tenant
-  // memo — zero model searches on the fresh epoch prover.
+  // memo — no memo miss on the fresh epoch prover: neither a model search
+  // nor an FD-split refutation (a lost [2] ↦ [0] would be the latter).
   s.Refresh();
   EXPECT_EQ(s.epoch(), r.epoch);
   const int64_t searches_before = s.pinned_prover().searches_executed();
+  const int64_t split_before = s.pinned_prover().split_refutations();
   EXPECT_EQ(s.ProveAll(qs), (std::vector<bool>{true, true, true, false}));
   EXPECT_EQ(s.pinned_prover().searches_executed(), searches_before)
       << "seeded answers were re-searched";
+  EXPECT_EQ(s.pinned_prover().split_refutations(), split_before)
+      << "a seeded negative was re-refuted";
   EXPECT_TRUE(s.Implies(Od({3}, {4}))) << "new constraint reachable";
 }
 
@@ -309,10 +313,12 @@ TEST(ServiceTest, ConcurrentImpliesAgreeWithReference) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(wrong.load(), 0);
 
-  // The tenant memo answered the repeats: fewer searches than total
-  // queries (the distinct-query space is tiny).
+  // The tenant memo answered the repeats: fewer memo misses (model
+  // searches plus FD-split refutations) than total queries (the
+  // distinct-query space is tiny).
   TenantStats st = server.Stats("t");
-  EXPECT_LT(st.epoch_searches, kThreads * kQueriesPerThread);
+  EXPECT_LT(st.epoch_searches + st.epoch_split_refutations,
+            kThreads * kQueriesPerThread);
 }
 
 TEST(ServiceTest, PlanAgainstPinnedSnapshot) {
