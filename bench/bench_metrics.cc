@@ -85,13 +85,6 @@ void BM_SpanEnabled(benchmark::State& state) {
   common::Tracer::Global().Clear();
 }
 
-void BM_SnapshotJson(benchmark::State& state) {
-  common::MetricRegistry& reg = common::MetricRegistry::Global();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(reg.SnapshotJson());
-  }
-}
-
 void BM_SnapshotPrometheus(benchmark::State& state) {
   common::MetricRegistry& reg = common::MetricRegistry::Global();
   for (auto _ : state) {
@@ -135,7 +128,6 @@ BENCHMARK(BM_CounterAddContended)->Threads(8);
 BENCHMARK(BM_HistogramRecord);
 BENCHMARK(BM_SpanRuntimeDisabled);
 BENCHMARK(BM_SpanEnabled);
-BENCHMARK(BM_SnapshotJson);
 BENCHMARK(BM_SnapshotPrometheus);
 BENCHMARK(BM_SubmitContextRestore);
 BENCHMARK(BM_QueryProfileAssembly);

@@ -39,9 +39,17 @@ AttributeList L(std::initializer_list<AttributeId> attrs) {
   return list;
 }
 
+/// A tenant name with a quote, a backslash, a tab and a newline: /statusz
+/// must escape it and still serve valid JSON (CI's endpoint-smoke job
+/// json-loads the page and looks the name up as a key).
+const char kHostileTenant[] = "odd \"name\" back\\slash\ttab\nnewline";
+
 /// A tenant with a date-hierarchy catalog and a bit of request traffic,
-/// so every endpoint has something to show.
+/// so every endpoint has something to show, plus one request on a tenant
+/// whose name needs escaping.
 void SeedTraffic(service::Server* server) {
+  server->CreateTenant(kHostileTenant);
+  server->OpenSession(kHostileTenant).Implies(OrderDependency(L({0}), L({1})));
   server->CreateTenant("demo");
   server->Add("demo", OrderDependency(L({0}), L({1})));  // [date] -> [month]
   server->Add("demo", OrderDependency(L({1}), L({2})));  // [month] -> [qtr]
@@ -83,10 +91,16 @@ int SelfCheck() {
   const std::string statusz =
       service::HttpGet("127.0.0.1", exporter.port(), "/statusz", &status);
   std::printf("GET /statusz -> %d (%zu bytes)\n", status, statusz.size());
+  std::string hostile_key;
+  common::AppendJsonString(kHostileTenant, &hostile_key);
   if (status != 200 ||
       statusz.find("\"demo\"") == std::string::npos ||
-      statusz.find("\"kind\":\"prove_all\"") == std::string::npos) {
+      statusz.find("\"kind\":\"prove_all\"") == std::string::npos ||
+      statusz.find(hostile_key + ":{") == std::string::npos) {
     return 1;
+  }
+  for (const char c : statusz) {
+    if (static_cast<unsigned char>(c) < 0x20) return 1;  // unescaped byte
   }
 
   const std::string tracez =

@@ -1,9 +1,11 @@
 #include "common/metrics.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
+#include <system_error>
 
 namespace od {
 namespace common {
@@ -41,6 +43,29 @@ std::string EscapeLabelValue(const std::string& value) {
 
 std::string FormatLabel(const std::string& key, const std::string& value) {
   return key + "=\"" + EscapeLabelValue(value) + "\"";
+}
+
+void AppendJsonString(std::string_view value, std::string* out) {
+  out->push_back('"');
+  for (const char c : value) {
+    switch (c) {
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\n': *out += "\\n"; break;
+      case '\t': *out += "\\t"; break;
+      case '\r': *out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          *out += buf;
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
 }
 
 // ---------------------------------------------------------------------------
@@ -215,224 +240,10 @@ MetricsSnapshot MetricRegistry::Snapshot() const {
   return snap;
 }
 
-void MetricRegistry::ResetValues() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (Entry& e : entries_) {
-    switch (e.kind) {
-      case Entry::Kind::kCounter: e.counter->Reset(); break;
-      case Entry::Kind::kGauge: e.gauge->Reset(); break;
-      case Entry::Kind::kHistogram: e.histogram->Reset(); break;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Serialization. The emitted grammar is deliberately tiny (string keys,
-// int64 values, one histogram object shape), so the parsers below can be
-// exact inverses without a general JSON library.
-
-namespace {
-
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-  out->push_back('"');
-}
-
-std::string DoubleToString(double v) {
-  if (std::isinf(v)) return v > 0 ? "\"+Inf\"" : "\"-Inf\"";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-/// Minimal scanner over the serializers' own output.
-class Cursor {
- public:
-  explicit Cursor(const std::string& text) : s_(text) {}
-
-  void SkipWs() {
-    while (i_ < s_.size() && (s_[i_] == ' ' || s_[i_] == '\n' ||
-                              s_[i_] == '\t' || s_[i_] == '\r')) {
-      ++i_;
-    }
-  }
-  bool AtEnd() {
-    SkipWs();
-    return i_ >= s_.size();
-  }
-  char Peek() {
-    SkipWs();
-    if (i_ >= s_.size()) Fail("unexpected end of input");
-    return s_[i_];
-  }
-  void Expect(char c) {
-    if (Peek() != c) Fail(std::string("expected '") + c + "'");
-    ++i_;
-  }
-  bool Consume(char c) {
-    if (AtEnd() || s_[i_] != c) return false;
-    ++i_;
-    return true;
-  }
-  std::string String() {
-    Expect('"');
-    std::string out;
-    while (i_ < s_.size() && s_[i_] != '"') {
-      if (s_[i_] == '\\' && i_ + 1 < s_.size()) ++i_;
-      out.push_back(s_[i_++]);
-    }
-    if (i_ >= s_.size()) Fail("unterminated string");
-    ++i_;  // closing quote
-    return out;
-  }
-  int64_t Int() {
-    SkipWs();
-    size_t end = i_;
-    if (end < s_.size() && (s_[end] == '-' || s_[end] == '+')) ++end;
-    while (end < s_.size() && s_[end] >= '0' && s_[end] <= '9') ++end;
-    if (end == i_) Fail("expected integer");
-    const int64_t v = std::stoll(s_.substr(i_, end - i_));
-    i_ = end;
-    return v;
-  }
-  double Double() {
-    SkipWs();
-    if (i_ < s_.size() && s_[i_] == '"') {
-      const std::string word = String();
-      if (word == "+Inf") return std::numeric_limits<double>::infinity();
-      if (word == "-Inf") return -std::numeric_limits<double>::infinity();
-      Fail("unexpected quoted number '" + word + "'");
-    }
-    size_t used = 0;
-    const double v = std::stod(s_.substr(i_), &used);
-    if (used == 0) Fail("expected number");
-    i_ += used;
-    return v;
-  }
-  [[noreturn]] void Fail(const std::string& why) {
-    throw std::invalid_argument("metrics parse error at offset " +
-                                std::to_string(i_) + ": " + why);
-  }
-
- private:
-  const std::string& s_;
-  size_t i_ = 0;
-};
-
-}  // namespace
-
-std::string MetricRegistry::ToJson(const MetricsSnapshot& snap) {
-  std::string out = "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [key, value] : snap.counters) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    AppendJsonString(key, &out);
-    out += ": " + std::to_string(value);
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"gauges\": {";
-  first = true;
-  for (const auto& [key, value] : snap.gauges) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    AppendJsonString(key, &out);
-    out += ": " + std::to_string(value);
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"histograms\": {";
-  first = true;
-  for (const auto& [key, h] : snap.histograms) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    AppendJsonString(key, &out);
-    out += ": {\"count\": " + std::to_string(h.count) +
-           ", \"sum\": " + std::to_string(h.sum) + ", \"buckets\": [";
-    for (size_t i = 0; i < h.buckets.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += "{\"le\": " + DoubleToString(h.buckets[i].first) +
-             ", \"count\": " + std::to_string(h.buckets[i].second) + "}";
-    }
-    out += "]}";
-  }
-  out += first ? "}\n" : "\n  }\n";
-  out += "}\n";
-  return out;
-}
-
-MetricsSnapshot MetricRegistry::FromJson(const std::string& text) {
-  MetricsSnapshot snap;
-  Cursor c(text);
-  c.Expect('{');
-  for (int section = 0; section < 3; ++section) {
-    const std::string name = c.String();
-    c.Expect(':');
-    c.Expect('{');
-    if (!c.Consume('}')) {
-      do {
-        const std::string key = c.String();
-        c.Expect(':');
-        if (name == "counters") {
-          snap.counters[key] = c.Int();
-        } else if (name == "gauges") {
-          snap.gauges[key] = c.Int();
-        } else if (name == "histograms") {
-          HistogramSnapshot h;
-          c.Expect('{');
-          for (int field = 0; field < 3; ++field) {
-            const std::string f = c.String();
-            c.Expect(':');
-            if (f == "count") {
-              h.count = c.Int();
-            } else if (f == "sum") {
-              h.sum = c.Int();
-            } else if (f == "buckets") {
-              c.Expect('[');
-              if (!c.Consume(']')) {
-                do {
-                  c.Expect('{');
-                  double le = 0;
-                  int64_t count = 0;
-                  for (int bf = 0; bf < 2; ++bf) {
-                    const std::string b = c.String();
-                    c.Expect(':');
-                    if (b == "le") {
-                      le = c.Double();
-                    } else if (b == "count") {
-                      count = c.Int();
-                    } else {
-                      c.Fail("unknown bucket field '" + b + "'");
-                    }
-                    if (bf == 0) c.Expect(',');
-                  }
-                  c.Expect('}');
-                  h.buckets.emplace_back(le, count);
-                } while (c.Consume(','));
-                c.Expect(']');
-              }
-            } else {
-              c.Fail("unknown histogram field '" + f + "'");
-            }
-            if (field < 2) c.Expect(',');
-          }
-          c.Expect('}');
-          snap.histograms[key] = std::move(h);
-        } else {
-          c.Fail("unknown section '" + name + "'");
-        }
-      } while (c.Consume(','));
-      c.Expect('}');
-    }
-    if (section < 2) c.Expect(',');
-  }
-  c.Expect('}');
-  if (!c.AtEnd()) c.Fail("trailing input");
-  return snap;
-}
+// Prometheus text. The emitted grammar is deliberately tiny (TYPE lines,
+// int64 samples, one histogram series shape), so the parser below can be
+// its exact inverse.
 
 namespace {
 
@@ -468,6 +279,34 @@ std::string PromDouble(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
+}
+
+[[noreturn]] void ParseError(const std::string& why) {
+  throw std::invalid_argument("metrics parse error: " + why);
+}
+
+/// All of `text` as an int64, the only sample value the serializer writes:
+/// no whitespace, no trailing bytes, no overflow.
+int64_t ParseSample(const std::string& text) {
+  int64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end) {
+    ParseError("bad sample value '" + text + "'");
+  }
+  return v;
+}
+
+/// All of `text` as a histogram bound: `+Inf` or a finite double.
+double ParseBound(const std::string& text) {
+  if (text == "+Inf") return std::numeric_limits<double>::infinity();
+  double v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || !std::isfinite(v)) {
+    ParseError("bad le bound '" + text + "'");
+  }
+  return v;
 }
 
 }  // namespace
@@ -519,16 +358,11 @@ MetricsSnapshot MetricRegistry::FromPrometheusText(const std::string& text) {
     pos = eol + 1;
     if (line.empty()) continue;
     if (line[0] == '#') {
-      // "# TYPE <name> <type>"
-      Cursor c(line);
-      c.Expect('#');
-      c.SkipWs();
-      if (line.find("# TYPE ") == 0) {
+      // "# TYPE <name> <type>"; any other comment is skipped.
+      if (line.rfind("# TYPE ", 0) == 0) {
         const size_t name_begin = 7;
         const size_t name_end = line.find(' ', name_begin);
-        if (name_end == std::string::npos) {
-          throw std::invalid_argument("metrics parse error: bad TYPE line");
-        }
+        if (name_end == std::string::npos) ParseError("bad TYPE line");
         types[line.substr(name_begin, name_end - name_begin)] =
             line.substr(name_end + 1);
       }
@@ -558,11 +392,10 @@ MetricsSnapshot MetricRegistry::FromPrometheusText(const std::string& text) {
       }
     }
     if (key_end == std::string::npos) {
-      throw std::invalid_argument("metrics parse error: bad sample line '" +
-                                  line + "'");
+      ParseError("bad sample line '" + line + "'");
     }
     std::string key = line.substr(0, key_end);
-    const std::string value = line.substr(key_end + 1);
+    const int64_t value = ParseSample(line.substr(key_end + 1));
     std::string name, labels;
     SplitKey(key, &name, &labels);
 
@@ -584,38 +417,26 @@ MetricsSnapshot MetricRegistry::FromPrometheusText(const std::string& text) {
       // Extract (and drop) the le label — it is ours, not the metric's.
       const std::string marker = "le=\"";
       const size_t le_pos = labels.rfind(marker);
-      if (le_pos == std::string::npos) {
-        throw std::invalid_argument(
-            "metrics parse error: _bucket without le label");
-      }
+      if (le_pos == std::string::npos) ParseError("_bucket without le label");
       const size_t le_end = labels.find('"', le_pos + marker.size());
-      std::string le_str =
-          labels.substr(le_pos + marker.size(), le_end - le_pos -
-                                                    marker.size());
+      const double le = ParseBound(labels.substr(
+          le_pos + marker.size(), le_end - le_pos - marker.size()));
       std::string rest = labels.substr(0, le_pos);
       if (!rest.empty() && rest.back() == ',') rest.pop_back();
-      const double le = le_str == "+Inf"
-                            ? std::numeric_limits<double>::infinity()
-                            : std::stod(le_str);
-      snap.histograms[FullKey(base, rest)].buckets.emplace_back(
-          le, std::stoll(value));
+      snap.histograms[FullKey(base, rest)].buckets.emplace_back(le, value);
     } else if (!(base = base_of("_sum")).empty()) {
-      snap.histograms[FullKey(base, labels)].sum = std::stoll(value);
+      snap.histograms[FullKey(base, labels)].sum = value;
     } else if (!(base = base_of("_count")).empty()) {
-      snap.histograms[FullKey(base, labels)].count = std::stoll(value);
+      snap.histograms[FullKey(base, labels)].count = value;
     } else {
       auto it = types.find(name);
-      if (it == types.end()) {
-        throw std::invalid_argument(
-            "metrics parse error: sample '" + name + "' has no TYPE");
-      }
+      if (it == types.end()) ParseError("sample '" + name + "' has no TYPE");
       if (it->second == "counter") {
-        snap.counters[key] = std::stoll(value);
+        snap.counters[key] = value;
       } else if (it->second == "gauge") {
-        snap.gauges[key] = std::stoll(value);
+        snap.gauges[key] = value;
       } else {
-        throw std::invalid_argument("metrics parse error: unknown type '" +
-                                    it->second + "'");
+        ParseError("unknown type '" + it->second + "'");
       }
     }
   }

@@ -7,6 +7,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -15,8 +16,7 @@ namespace common {
 
 /// Process-wide metrics: counters, gauges, and log-scale histograms,
 /// registered by name (plus optional Prometheus-style labels) in a global
-/// `MetricRegistry` and exported as JSON or Prometheus text exposition
-/// format.
+/// `MetricRegistry` and exported as Prometheus text exposition format.
 ///
 /// Design constraints, in order:
 ///   1. The *record* path must be safe and cheap from any thread — prover
@@ -44,13 +44,20 @@ uint32_t ThreadSlot();
 /// double quote, and newline become `\\`, `\"`, and `\n`. Arbitrary
 /// external strings (tenant names, file paths) must pass through this (or
 /// FormatLabel) before entering a label body, so the registry key stays a
-/// single printable token that both exporters and their round-trip parsers
-/// preserve verbatim.
+/// single token that the exporter and its round-trip parser preserve
+/// verbatim.
 std::string EscapeLabelValue(const std::string& value);
 
 /// One label-body entry `key="value"` with the value escaped. Join several
 /// with ',' to build the `labels` argument of MetricRegistry::Get*.
 std::string FormatLabel(const std::string& key, const std::string& value);
+
+/// Appends `value` to `out` as a quoted JSON string: `"` and `\` are
+/// backslash-escaped and every byte below 0x20 becomes `\n`, `\t`, `\r`
+/// or `\u00XX`, so arbitrary external strings (tenant names, request
+/// details) cannot break the JSON the scrape surface serves. Other bytes
+/// pass through unchanged.
+void AppendJsonString(std::string_view value, std::string* out);
 
 /// A monotonically increasing counter. Writers call `Add`; `Value` sums
 /// the shards. Obtain instances from MetricRegistry::GetCounter.
@@ -62,7 +69,6 @@ class Counter {
     shards_[metrics_internal::ThreadSlot() % kShards].v.fetch_add(
         delta, std::memory_order_relaxed);
   }
-  void Increment() { Add(1); }
 
   int64_t Value() const {
     int64_t total = 0;
@@ -158,7 +164,8 @@ struct HistogramSnapshot {
 
 /// A point-in-time export of every registered metric, keyed by
 /// `name{labels}` (bare `name` when the metric has no labels). Round-trips
-/// losslessly through both serializers below — asserted by tests.
+/// losslessly through the Prometheus text serializer below — asserted by
+/// tests.
 struct MetricsSnapshot {
   std::map<std::string, int64_t> counters;
   std::map<std::string, int64_t> gauges;
@@ -187,22 +194,16 @@ class MetricRegistry {
                           const std::string& labels = "");
 
   MetricsSnapshot Snapshot() const;
-  /// Snapshot rendered as JSON / Prometheus text exposition format.
-  std::string SnapshotJson() const { return ToJson(Snapshot()); }
+  /// Snapshot rendered as Prometheus text exposition format.
   std::string SnapshotPrometheus() const {
     return ToPrometheusText(Snapshot());
   }
 
-  /// Zeroes every registered metric's value (registrations survive).
-  /// Tests and benches only — not atomic against concurrent writers.
-  void ResetValues();
-
-  // Serializers and their inverses. The parsers accept exactly what the
-  // serializers emit (plus whitespace/# comments for the Prometheus form);
-  // they throw std::invalid_argument on malformed input.
-  static std::string ToJson(const MetricsSnapshot& snap);
+  // The serializer and its inverse. The parser accepts what the serializer
+  // emits, plus blank lines and `#` comments; every sample value must be a
+  // whole int64 and every `le` bound a finite double or `+Inf`. Anything
+  // else throws std::invalid_argument.
   static std::string ToPrometheusText(const MetricsSnapshot& snap);
-  static MetricsSnapshot FromJson(const std::string& text);
   static MetricsSnapshot FromPrometheusText(const std::string& text);
 
  private:

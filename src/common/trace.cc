@@ -58,15 +58,6 @@ Counter& DroppedSpansCounter() {
   return c;
 }
 
-void AppendJsonString(const char* s, std::string* out) {
-  out->push_back('"');
-  for (; *s != '\0'; ++s) {
-    if (*s == '"' || *s == '\\') out->push_back('\\');
-    out->push_back(*s);
-  }
-  out->push_back('"');
-}
-
 }  // namespace
 
 TraceContext TraceContext::NewRequest() {

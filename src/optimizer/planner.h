@@ -31,7 +31,6 @@ struct CostModel {
   double scan_row = 1.0;        ///< stream a row out of a sequential scan
   double index_row = 2.0;       ///< gather a row through an index permutation
   double filter_term = 0.3;     ///< evaluate one predicate on one row
-  double project_row = 0.2;     ///< copy one row through a projection
   double sort_row_log = 0.7;    ///< per row per log2(n) of a sort enforcer
   double stream_agg_row = 1.2;  ///< accumulate one row, groups contiguous
   double hash_agg_row = 3.0;    ///< hash + accumulate one row

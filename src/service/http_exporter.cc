@@ -3,14 +3,13 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
-#include <cstdio>
+#include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
 #include "common/metrics.h"
 #include "common/trace.h"
@@ -36,19 +35,23 @@ std::string Response(int code, const std::string& content_type,
          "\r\nConnection: close\r\n\r\n" + body;
 }
 
-std::string Quantile(const common::HistogramSnapshot& snap, double q) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", snap.ValueAtQuantile(q));
-  return buf;
-}
+/// How long an accepted connection may take to send its request headers.
+/// A scraper sends them at once; a client that sends nothing is answered
+/// 400 after this and closed, so it cannot wedge the accept thread.
+constexpr std::chrono::seconds kRequestTimeout{1};
 
-/// Reads until the end of the request headers (or the cap); returns what
-/// was read.
+/// Reads until the end of the request headers, the size cap, or
+/// kRequestTimeout after the call; returns what was read.
 std::string ReadRequest(int fd) {
+  const auto deadline = std::chrono::steady_clock::now() + kRequestTimeout;
+  timeval tv{};
+  tv.tv_sec = kRequestTimeout.count();
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   std::string request;
   char buf[1024];
   while (request.size() < 16384 &&
-         request.find("\r\n\r\n") == std::string::npos) {
+         request.find("\r\n\r\n") == std::string::npos &&
+         std::chrono::steady_clock::now() < deadline) {
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) break;
     request.append(buf, static_cast<size_t>(n));
@@ -143,67 +146,6 @@ void HttpExporter::AcceptLoop() {
   }
 }
 
-std::string HttpExporter::StatuszJson() const {
-  std::string out = "{\"tenants\":{";
-  if (options_.server != nullptr) {
-    bool first = true;
-    for (const std::string& name : options_.server->Tenants()) {
-      if (!first) out += ",";
-      first = false;
-      const TenantStats stats = options_.server->Stats(name);
-      out.push_back('"');
-      for (char c : name) {
-        if (c == '"' || c == '\\') out.push_back('\\');
-        out.push_back(c);
-      }
-      out += "\":{\"epoch\":" + std::to_string(stats.epoch);
-      out += ",\"catalog_size\":" + std::to_string(stats.catalog_size);
-      out += ",\"sessions_opened\":" + std::to_string(stats.sessions_opened);
-      out += ",\"pinned_sessions\":" + std::to_string(stats.pinned_sessions);
-      out += ",\"epoch_memo_size\":" + std::to_string(stats.epoch_memo_size);
-      out += ",\"epoch_searches\":" + std::to_string(stats.epoch_searches);
-      out += ",\"epoch_split_refutations\":" +
-             std::to_string(stats.epoch_split_refutations);
-      out +=
-          ",\"epoch_cache_hits\":" + std::to_string(stats.epoch_cache_hits);
-      out += ",\"profiles_recorded\":" +
-             std::to_string(stats.profiles_recorded);
-      out += ",\"slow_queries\":" + std::to_string(stats.slow_queries);
-      out += ",\"slow_threshold_us\":" +
-             std::to_string(stats.slow_threshold_us);
-      out += ",\"request_p50_us\":" + Quantile(stats.request_us, 0.50);
-      out += ",\"request_p95_us\":" + Quantile(stats.request_us, 0.95);
-      out += ",\"request_p99_us\":" + Quantile(stats.request_us, 0.99);
-      out += ",\"flight_recorder\":";
-      bool tenant_known = true;
-      std::string dump;
-      try {
-        std::vector<QueryProfile> tail =
-            options_.server->FlightRecorderTail(name, options_.flight_tail);
-        std::vector<QueryProfile> slow =
-            options_.server->SlowQueryLog(name, options_.flight_tail);
-        dump = "{\"profiles\":[";
-        for (size_t i = 0; i < tail.size(); ++i) {
-          if (i > 0) dump += ",";
-          dump += tail[i].ToJson();
-        }
-        dump += "],\"slow\":[";
-        for (size_t i = 0; i < slow.size(); ++i) {
-          if (i > 0) dump += ",";
-          dump += slow[i].ToJson();
-        }
-        dump += "]}";
-      } catch (const std::out_of_range&) {
-        tenant_known = false;  // tenant raced away between listing and here
-      }
-      out += tenant_known ? dump : "null";
-      out += "}";
-    }
-  }
-  out += "}}";
-  return out;
-}
-
 std::string HttpExporter::HandleRequest(const std::string& path) const {
   if (path == "/metrics") {
     return Response(200, "text/plain; version=0.0.4",
@@ -213,7 +155,9 @@ std::string HttpExporter::HandleRequest(const std::string& path) const {
     return Response(200, "text/plain", "ok\n");
   }
   if (path == "/statusz") {
-    return Response(200, "application/json", StatuszJson());
+    return Response(200, "application/json",
+                    options_.server != nullptr ? options_.server->StatusJson()
+                                               : "{\"tenants\":{}}");
   }
   if (path == "/tracez") {
     return Response(200, "application/json",

@@ -2,7 +2,6 @@
 #define OD_SERVICE_HTTP_EXPORTER_H_
 
 #include <atomic>
-#include <cstddef>
 #include <string>
 #include <thread>
 
@@ -18,11 +17,9 @@ struct HttpExporterOptions {
   /// 0 binds an ephemeral port; read the real one from port() after
   /// Start().
   int port = 0;
-  /// Optional service to render in /statusz and the flight-recorder
-  /// section; /metrics, /healthz and /tracez work without one.
+  /// Optional service whose Server::StatusJson /statusz serves; /metrics,
+  /// /healthz and /tracez work without one.
   Server* server = nullptr;
-  /// Profiles per tenant included in /statusz.
-  size_t flight_tail = 32;
 };
 
 /// A deliberately minimal blocking HTTP/1.1 listener on its own thread —
@@ -32,14 +29,17 @@ struct HttpExporterOptions {
 ///   /metrics   Prometheus text exposition of the global MetricRegistry
 ///              (round-trips through MetricRegistry::FromPrometheusText).
 ///   /healthz   "ok" — liveness.
-///   /statusz   JSON: per-tenant epochs, session pins, memo counters,
-///              request-latency quantiles (p50/p95/p99), the slow-query
-///              threshold, and the flight-recorder tail.
+///   /statusz   Server::StatusJson: per-tenant epochs, session pins, memo
+///              counters, request-latency quantiles (p50/p95/p99), the
+///              slow-query threshold, and the flight-recorder tail.
 ///   /tracez    The tracer's Chrome trace JSON (open in ui.perfetto.dev).
 ///
 /// One request per connection, handled serially on the accept thread: a
 /// scrape every few seconds from one or two collectors, not a web server.
-/// `HandleRequest` is the socket-free dispatch core, unit-tested directly.
+/// A connection that has not sent its request headers within a fixed
+/// timeout is answered 400 and closed, so an idle client cannot hold the
+/// accept thread. `HandleRequest` is the socket-free dispatch core,
+/// unit-tested directly.
 class HttpExporter {
  public:
   explicit HttpExporter(HttpExporterOptions options = HttpExporterOptions());
@@ -67,7 +67,6 @@ class HttpExporter {
 
  private:
   void AcceptLoop();
-  std::string StatuszJson() const;
 
   HttpExporterOptions options_;
   int listen_fd_ = -1;

@@ -1,26 +1,9 @@
 #include "service/query_profile.h"
 
+#include "common/metrics.h"
+
 namespace od {
 namespace service {
-
-namespace {
-
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (c == '\n') {
-      *out += "\\n";
-    } else {
-      out->push_back(c);
-    }
-  }
-  out->push_back('"');
-}
-
-}  // namespace
 
 const char* QueryProfile::KindName(Kind k) {
   switch (k) {
@@ -38,11 +21,11 @@ std::string QueryProfile::ToJson() const {
   std::string out = "{\"kind\":\"";
   out += KindName(kind);
   out += "\",\"tenant\":";
-  AppendJsonString(tenant, &out);
+  common::AppendJsonString(tenant, &out);
   out += ",\"epoch\":" + std::to_string(epoch);
   out += ",\"trace_id\":" + std::to_string(trace_id);
   out += ",\"detail\":";
-  AppendJsonString(detail, &out);
+  common::AppendJsonString(detail, &out);
   out += ",\"start_us\":" + std::to_string(start_us);
   out += ",\"wall_us\":" + std::to_string(wall_us);
   out += ",\"prover_searches\":" + std::to_string(prover_searches);

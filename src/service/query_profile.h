@@ -60,8 +60,9 @@ struct QueryProfile {
 
   static const char* KindName(Kind k);
 
-  /// One JSON object (single line, no trailing newline) — the element
-  /// shape of Server::DumpFlightRecorder and the /statusz endpoint.
+  /// One JSON object (single line, no trailing newline; `tenant` and
+  /// `detail` escaped by common::AppendJsonString) — the element shape of
+  /// FlightRecorder::DumpJson, which Server::StatusJson and /statusz serve.
   std::string ToJson() const;
 };
 

@@ -1,6 +1,7 @@
 #include "service/service.h"
 
 #include <chrono>
+#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
@@ -14,7 +15,7 @@ namespace service {
 namespace internal {
 
 /// Per-tenant registry instruments, labeled `tenant="<name>"` (escaped) so
-/// one Prometheus/JSON scrape separates tenants — the "per-tenant scrape
+/// one Prometheus scrape separates tenants — the "per-tenant scrape
 /// is a label away" follow-through. References are process-lived.
 struct TenantMetrics {
   common::Counter& sessions_opened;
@@ -537,19 +538,45 @@ int64_t Server::SlowQueryThresholdUs(const std::string& tenant) const {
   return Tenant(tenant).SlowThresholdUs();
 }
 
-std::string Server::DumpFlightRecorder(size_t n) const {
+namespace {
+
+/// Profiles (and slow profiles) per tenant in the status document.
+constexpr size_t kStatusFlightTail = 32;
+
+std::string Quantile(const common::HistogramSnapshot& snap, double q) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.6g", snap.ValueAtQuantile(q));
+  return buf;
+}
+
+}  // namespace
+
+std::string Server::StatusJson() const {
   std::string out = "{\"tenants\":{";
-  bool first = true;
+  // No API removes a tenant, so every listed name stays known.
   for (const std::string& name : Tenants()) {
-    if (!first) out += ",";
-    first = false;
-    out.push_back('"');
-    for (char c : name) {
-      if (c == '"' || c == '\\') out.push_back('\\');
-      out.push_back(c);
-    }
-    out += "\":";
-    out += Tenant(name).recorder.DumpJson(n);
+    if (out.back() != '{') out += ",";
+    common::AppendJsonString(name, &out);
+    const TenantStats stats = Stats(name);
+    out += ":{\"epoch\":" + std::to_string(stats.epoch);
+    out += ",\"catalog_size\":" + std::to_string(stats.catalog_size);
+    out += ",\"sessions_opened\":" + std::to_string(stats.sessions_opened);
+    out += ",\"pinned_sessions\":" + std::to_string(stats.pinned_sessions);
+    out += ",\"epoch_memo_size\":" + std::to_string(stats.epoch_memo_size);
+    out += ",\"epoch_searches\":" + std::to_string(stats.epoch_searches);
+    out += ",\"epoch_split_refutations\":" +
+           std::to_string(stats.epoch_split_refutations);
+    out += ",\"epoch_cache_hits\":" + std::to_string(stats.epoch_cache_hits);
+    out += ",\"profiles_recorded\":" +
+           std::to_string(stats.profiles_recorded);
+    out += ",\"slow_queries\":" + std::to_string(stats.slow_queries);
+    out += ",\"slow_threshold_us\":" +
+           std::to_string(stats.slow_threshold_us);
+    out += ",\"request_p50_us\":" + Quantile(stats.request_us, 0.50);
+    out += ",\"request_p95_us\":" + Quantile(stats.request_us, 0.95);
+    out += ",\"request_p99_us\":" + Quantile(stats.request_us, 0.99);
+    out += ",\"flight_recorder\":" +
+           Tenant(name).recorder.DumpJson(kStatusFlightTail) + "}";
   }
   out += "}}";
   return out;

@@ -277,9 +277,12 @@ class Server {
   /// request-latency histogram's p99 once ≥32 requests have been
   /// recorded).
   int64_t SlowQueryThresholdUs(const std::string& tenant) const;
-  /// JSON export of every tenant's flight recorder:
-  /// `{"tenants":{"<name>":{"profiles":[...],"slow":[...],...}, ...}}`.
-  std::string DumpFlightRecorder(size_t n = 32) const;
+  /// The status document `/statusz` serves, rendered here once for every
+  /// tenant: `{"tenants":{"<name>":{<TenantStats fields>,
+  /// "request_p50_us":..,"request_p95_us":..,"request_p99_us":..,
+  /// "flight_recorder":<FlightRecorder::DumpJson of the last 32>}, ...}}`.
+  /// Names and profile strings are escaped by common::AppendJsonString.
+  std::string StatusJson() const;
 
  private:
   internal::TenantState& Tenant(const std::string& tenant) const;

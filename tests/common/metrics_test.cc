@@ -4,8 +4,12 @@
 
 #include <cmath>
 #include <limits>
+#include <random>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <typeinfo>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -142,13 +146,6 @@ TEST(SnapshotTest, HistogramBucketsAreCumulativeAndEndAtInf) {
   }
 }
 
-TEST(SnapshotTest, JsonRoundTrips) {
-  const MetricsSnapshot snap = BuildSampleSnapshot();
-  const std::string json = MetricRegistry::ToJson(snap);
-  const MetricsSnapshot back = MetricRegistry::FromJson(json);
-  EXPECT_TRUE(snap == back) << json;
-}
-
 TEST(SnapshotTest, PrometheusRoundTrips) {
   const MetricsSnapshot snap = BuildSampleSnapshot();
   const std::string text = MetricRegistry::ToPrometheusText(snap);
@@ -176,10 +173,6 @@ TEST(SnapshotTest, PrometheusTextHasExpositionShape) {
 }
 
 TEST(SnapshotTest, ParsersRejectMalformedInput) {
-  EXPECT_THROW(MetricRegistry::FromJson("not json"),
-               std::invalid_argument);
-  EXPECT_THROW(MetricRegistry::FromJson("{\"counters\": {"),
-               std::invalid_argument);
   EXPECT_THROW(MetricRegistry::FromPrometheusText("orphan_sample 3\n"),
                std::invalid_argument);
   EXPECT_THROW(MetricRegistry::FromPrometheusText("# TYPE h histogram\n"
@@ -189,10 +182,144 @@ TEST(SnapshotTest, ParsersRejectMalformedInput) {
 
 TEST(SnapshotTest, EmptySnapshotRoundTripsBothWays) {
   const MetricsSnapshot empty;
-  EXPECT_TRUE(MetricRegistry::FromJson(MetricRegistry::ToJson(empty)) ==
-              empty);
   EXPECT_TRUE(MetricRegistry::FromPrometheusText(
                   MetricRegistry::ToPrometheusText(empty)) == empty);
+}
+
+TEST(PrometheusParserTest, NumbersParseInFullOrThrowInvalidArgument) {
+  // An int64 overflow, a bound past the double range and trailing bytes
+  // after a number are malformed input, not out_of_range or a prefix.
+  EXPECT_THROW(MetricRegistry::FromPrometheusText(
+                   "# TYPE a counter\na 99999999999999999999999\n"),
+               std::invalid_argument);
+  EXPECT_THROW(MetricRegistry::FromPrometheusText(
+                   "# TYPE h histogram\nh_bucket{le=\"1e999\"} 1\n"),
+               std::invalid_argument);
+  EXPECT_THROW(
+      MetricRegistry::FromPrometheusText("# TYPE a counter\na 12abc\n"),
+      std::invalid_argument);
+  EXPECT_THROW(MetricRegistry::FromPrometheusText(
+                   "# TYPE h histogram\nh_bucket{le=\"2x\"} 1\n"),
+               std::invalid_argument);
+  EXPECT_THROW(MetricRegistry::FromPrometheusText("# TYPE g gauge\ng \n"),
+               std::invalid_argument);
+  // The int64 extremes the serializer writes still parse.
+  const MetricsSnapshot snap = MetricRegistry::FromPrometheusText(
+      "# TYPE a counter\na 9223372036854775807\n"
+      "# TYPE g gauge\ng -9223372036854775808\n");
+  EXPECT_EQ(snap.counters.at("a"), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(snap.gauges.at("g"), std::numeric_limits<int64_t>::min());
+}
+
+/// A live exposition with every series shape the serializer writes:
+/// plain and labeled counters (label values with spaces, quotes,
+/// backslashes, tabs and newlines), a negative gauge, and histograms with
+/// finite, overflow and labeled buckets.
+std::string LiveExposition() {
+  MetricRegistry& reg = MetricRegistry::Global();
+  Counter& plain = reg.GetCounter("od_test_mut_counter");
+  plain.Reset();
+  plain.Add(3);
+  Counter& labeled = reg.GetCounter(
+      "od_test_mut_counter", "",
+      FormatLabel("tenant", "a \"b\" c\\d\te\nf") + ",level=\"2\"");
+  labeled.Reset();
+  labeled.Add(42);
+  reg.GetGauge("od_test_mut_gauge").Set(-7);
+  Histogram& h = reg.GetHistogram("od_test_mut_hist");
+  h.Reset();
+  for (int64_t v : {int64_t{0}, int64_t{5}, int64_t{1000},
+                    std::numeric_limits<int64_t>::max()}) {
+    h.Record(v);
+  }
+  Histogram& hl =
+      reg.GetHistogram("od_test_mut_hist", "", FormatLabel("tenant", "t 1"));
+  hl.Reset();
+  hl.Record(17);
+  const MetricsSnapshot snap = reg.Snapshot();
+  MetricsSnapshot mine;
+  for (const auto& [k, v] : snap.counters) {
+    if (k.find("od_test_mut_") == 0) mine.counters[k] = v;
+  }
+  for (const auto& [k, v] : snap.gauges) {
+    if (k.find("od_test_mut_") == 0) mine.gauges[k] = v;
+  }
+  for (const auto& [k, v] : snap.histograms) {
+    if (k.find("od_test_mut_") == 0) mine.histograms[k] = v;
+  }
+  return MetricRegistry::ToPrometheusText(mine);
+}
+
+TEST(PrometheusParserTest, SeededMutantsParseOrThrowInvalidArgument) {
+  const std::string base = LiveExposition();
+  ASSERT_NO_THROW(MetricRegistry::FromPrometheusText(base)) << base;
+  // Bytes and tokens the grammar gives meaning to, plus number shapes that
+  // must neither escape as std::out_of_range nor parse as a prefix.
+  const std::vector<std::string> tokens = {
+      " ", "\n", "\"", "\\", "{", "}", ",", "=", "#", "# TYPE ", "le=\"",
+      "_bucket", "_sum", "_count", " counter", " gauge", " histogram", "-",
+      "+", "+Inf", "nan", "1e999", "99999999999999999999999", "12abc", "0x1",
+      "\t", "\r", std::string(1, '\0')};
+  std::mt19937 rng(20121);  // fixed: the same mutants on every run
+  auto below = [&](size_t n) {
+    return static_cast<size_t>(rng() % static_cast<uint32_t>(n));
+  };
+  int parsed = 0, rejected = 0, escaped = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::string m = base;
+    for (size_t edits = 1 + below(4); edits > 0; --edits) {
+      const size_t at = below(m.size() + 1);
+      switch (below(5)) {
+        case 0:  // overwrite one byte with any byte
+          if (at < m.size()) m[at] = static_cast<char>(below(256));
+          break;
+        case 1:  // delete a short run
+          m.erase(at, 1 + below(8));
+          break;
+        case 2:  // insert a token
+          m.insert(at, tokens[below(tokens.size())]);
+          break;
+        case 3:  // replace a short run with a token
+          m.replace(at, 1 + below(4), tokens[below(tokens.size())]);
+          break;
+        case 4:  // truncate
+          m.resize(at);
+          break;
+      }
+    }
+    try {
+      (void)MetricRegistry::FromPrometheusText(m);
+      ++parsed;
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      if (++escaped <= 5) {
+        ADD_FAILURE() << "mutant " << i << " threw " << typeid(e).name()
+                      << " (" << e.what() << "):\n"
+                      << m;
+      }
+    }
+  }
+  EXPECT_EQ(escaped, 0) << "mutants that threw past std::invalid_argument";
+  // Both outcomes occur, so the mutants reach past the first line.
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(JsonStringTest, EscapesQuotesBackslashesAndEveryControlByte) {
+  std::string out;
+  AppendJsonString("a\"b\\c\nd\te\rf\x01g h\x7f", &out);
+  EXPECT_EQ(out, "\"a\\\"b\\\\c\\nd\\te\\rf\\u0001g h\x7f\"");
+
+  std::string controls;
+  for (int c = 0; c < 0x20; ++c) controls.push_back(static_cast<char>(c));
+  out.clear();
+  AppendJsonString(controls, &out);
+  for (const char c : out) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << out;
+  }
+  EXPECT_EQ(out.rfind("\"\\u0000\\u0001", 0), 0u) << out;
+  EXPECT_NE(out.find("\\u001f\""), std::string::npos) << out;
 }
 
 TEST(RegistryTest, ConcurrentRegistrationAndWrites) {

@@ -245,15 +245,13 @@ TEST_F(DateExplainAnalyzeTest, LiveRegistrySnapshotRoundTripsBothFormats) {
   // Execute a real query so the registry holds engine-written metrics
   // (prover searches, planner enumerations, discovery counters from other
   // tests in this binary...), then check the full live snapshot survives
-  // both export formats losslessly.
+  // the Prometheus exposition losslessly.
   PhysicalPlan plan = PlanQuery(DailySales());
   plan.Execute(nullptr);
   common::MetricRegistry& reg = common::MetricRegistry::Global();
   const common::MetricsSnapshot snap = reg.Snapshot();
   EXPECT_FALSE(snap.counters.empty());
   EXPECT_TRUE(snap.counters.count("od_planner_plans_enumerated_total") > 0);
-  EXPECT_TRUE(common::MetricRegistry::FromJson(
-                  common::MetricRegistry::ToJson(snap)) == snap);
   EXPECT_TRUE(common::MetricRegistry::FromPrometheusText(
                   common::MetricRegistry::ToPrometheusText(snap)) == snap);
 }

@@ -1,11 +1,21 @@
 // The HTTP scrape endpoint end-to-end: a real listener on a loopback
 // ephemeral port, fetched with the in-repo HttpGet helper. /metrics must
-// round-trip through MetricRegistry::FromPrometheusText, and /statusz
-// must reflect a request the server just classified as slow.
+// round-trip through MetricRegistry::FromPrometheusText, /statusz must
+// reflect a request the server just classified as slow and stay valid
+// JSON for any tenant name, and an idle client must not wedge the
+// listener.
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
 #include <string>
+#include <utility>
 
 #include "common/metrics.h"
 #include "service/http_exporter.h"
@@ -105,6 +115,41 @@ TEST_F(HttpExporterTest, StatuszReflectsJustExecutedSlowQuery) {
   EXPECT_NE(body.find("\"request_p50_us\":"), std::string::npos);
 }
 
+TEST_F(HttpExporterTest, IdleClientDoesNotWedgeTheListener) {
+  // A client that connects and never sends a request.
+  const int idle = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(idle, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(exporter_->port()));
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(
+      ::connect(idle, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+
+  auto probe = std::async(std::launch::async, [this] {
+    int status = 0;
+    std::string body = Get("/healthz", &status);
+    return std::make_pair(status, std::move(body));
+  });
+  const bool answered = probe.wait_for(std::chrono::seconds(3)) ==
+                        std::future_status::ready;
+  std::string idle_reply;
+  if (answered) {
+    // The listener gave up on the idle client before serving the probe.
+    char buf[256];
+    const ssize_t n = ::recv(idle, buf, sizeof(buf), 0);
+    if (n > 0) idle_reply.assign(buf, static_cast<size_t>(n));
+  }
+  ::close(idle);  // unwedges a listener stuck on it, so a failure ends here
+  EXPECT_TRUE(answered) << "/healthz unanswered within 3 s of an idle client";
+  const auto [status, body] = probe.get();
+  EXPECT_EQ(status, 200);
+  EXPECT_EQ(body, "ok\n");
+  if (answered) {
+    EXPECT_EQ(idle_reply.rfind("HTTP/1.1 400", 0), 0u) << idle_reply;
+  }
+}
+
 TEST_F(HttpExporterTest, TracezServesChromeTraceShape) {
   int status = 0;
   const std::string body = Get("/tracez", &status);
@@ -127,6 +172,38 @@ TEST_F(HttpExporterTest, StopIsIdempotentAndRestartable) {
   int status = 0;
   EXPECT_EQ(Get("/healthz", &status), "ok\n");
   EXPECT_EQ(status, 200);
+}
+
+TEST(HttpExporterUnitTest, StatuszEscapesEveryControlByteOfATenantName) {
+  const std::string name = "q\"b\\t\tn\nc\x01";
+  const std::string escaped = "\"q\\\"b\\\\t\\tn\\nc\\u0001\"";
+  Server server;
+  server.CreateTenant(name);
+  Session session = server.OpenSession(name);
+  EXPECT_FALSE(session.Implies(Od({0}, {1})));  // one profiled request
+
+  HttpExporterOptions opts;
+  opts.server = &server;
+  const HttpExporter exporter(opts);
+  const std::string response = exporter.HandleRequest("/statusz");
+  const size_t header_end = response.find("\r\n\r\n");
+  ASSERT_NE(header_end, std::string::npos);
+  const std::string body = response.substr(header_end + 4);
+  const auto tail = server.FlightRecorderTail(name);
+  ASSERT_EQ(tail.size(), 1u);
+  const std::string profile = tail.back().ToJson();
+
+  for (const std::string* json : {&body, &profile}) {
+    for (const char c : *json) {
+      ASSERT_GE(static_cast<unsigned char>(c), 0x20) << *json;
+    }
+  }
+  EXPECT_NE(body.find("{\"tenants\":{" + escaped + ":{\"epoch\":"),
+            std::string::npos)
+      << body;
+  EXPECT_NE(body.find("\"tenant\":" + escaped), std::string::npos) << body;
+  EXPECT_NE(profile.find("\"tenant\":" + escaped), std::string::npos)
+      << profile;
 }
 
 TEST(HttpExporterUnitTest, HandleRequestDispatchesWithoutASocket) {

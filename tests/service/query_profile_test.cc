@@ -263,12 +263,14 @@ TEST(QueryProfileTest, PinnedSessionGaugeTracksLifetimes) {
   EXPECT_EQ(server.Stats("qp_pins").sessions_opened, 2);
 }
 
+/// Server::StatusJson, the one status renderer, dumps every tenant's
+/// flight recorder.
 TEST(QueryProfileTest, DumpFlightRecorderCoversAllTenants) {
   Server server;
   server.CreateTenant("qp_dump_a");
   server.CreateTenant("qp_dump_b");
   server.Add("qp_dump_a", Od({0}, {1}));
-  const std::string json = server.DumpFlightRecorder();
+  const std::string json = server.StatusJson();
   EXPECT_NE(json.find("\"qp_dump_a\""), std::string::npos);
   EXPECT_NE(json.find("\"qp_dump_b\""), std::string::npos);
   EXPECT_NE(json.find("\"kind\":\"apply\""), std::string::npos);

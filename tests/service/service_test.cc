@@ -454,11 +454,8 @@ TEST(ServiceTest, LabeledServiceMetricsRoundTrip) {
     EXPECT_GE(snap.counters.at(key), 1) << key;
   }
 
-  // Both exporters' inverse parsers recover the labeled service metrics
+  // The exporter's inverse parser recovers the labeled service metrics
   // losslessly — including the names with spaces, quotes, and newlines.
-  const common::MetricsSnapshot from_json =
-      MetricRegistry::FromJson(MetricRegistry::ToJson(snap));
-  EXPECT_EQ(from_json, snap) << "JSON round-trip diverged";
   const common::MetricsSnapshot from_prom = MetricRegistry::FromPrometheusText(
       MetricRegistry::ToPrometheusText(snap));
   EXPECT_EQ(from_prom, snap) << "Prometheus round-trip diverged";
