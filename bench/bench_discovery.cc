@@ -84,6 +84,7 @@ void BM_SplitValidation(benchmark::State& state) {
   const int64_t rows = state.range(0);
   engine::Table t = PlantedTable(rows, /*cols=*/4, /*seed=*/7);
   discovery::PartitionCache cache(t);
+  cache.Prewarm({AttributeSet({0}), AttributeSet({0, 1})}, nullptr);
   const auto& ctx = cache.Get(AttributeSet({0}));
   const auto& refined = cache.Get(AttributeSet({0, 1}));
   for (auto _ : state) {
@@ -95,6 +96,7 @@ void BM_SwapValidation(benchmark::State& state) {
   const int64_t rows = state.range(0);
   engine::Table t = PlantedTable(rows, /*cols=*/4, /*seed=*/7);
   discovery::PartitionCache cache(t);
+  cache.Prewarm({AttributeSet({0})}, nullptr);
   const auto& ctx = cache.Get(AttributeSet({0}));
   for (auto _ : state) {
     benchmark::DoNotOptimize(discovery::SwapCandidateHolds(t, ctx, 1, 2));

@@ -247,18 +247,50 @@ MetricsSnapshot MetricRegistry::Snapshot() const {
 
 namespace {
 
+[[noreturn]] void ParseError(const std::string& why) {
+  throw std::invalid_argument("metrics parse error: " + why);
+}
+
+/// The position of the first `target` in `s` at or after `from` that lies
+/// outside a quoted label value (escaped quotes and backslashes inside a
+/// value are skipped), or npos.
+size_t FindUnquoted(const std::string& s, size_t from, char target) {
+  bool in_quotes = false;
+  for (size_t i = from; i < s.size(); ++i) {
+    const char ch = s[i];
+    if (in_quotes) {
+      if (ch == '\\') {
+        ++i;  // skip the escaped character
+      } else if (ch == '"') {
+        in_quotes = false;
+      }
+    } else if (ch == '"') {
+      in_quotes = true;
+    } else if (ch == target) {
+      return i;
+    }
+  }
+  return std::string::npos;
+}
+
 /// Splits "name{labels}" into its parts; labels comes back empty when the
-/// key has none.
+/// key has none. The label body ends at the first `}` outside a quoted
+/// value, and the key must end there: an unclosed body, or bytes after it,
+/// throw std::invalid_argument.
 void SplitKey(const std::string& key, std::string* name,
               std::string* labels) {
   const size_t brace = key.find('{');
   if (brace == std::string::npos) {
     *name = key;
     labels->clear();
-  } else {
-    *name = key.substr(0, brace);
-    *labels = key.substr(brace + 1, key.size() - brace - 2);
+    return;
   }
+  const size_t close = FindUnquoted(key, brace + 1, '}');
+  if (close != key.size() - 1) {
+    ParseError("label body of '" + key + "' is unclosed or followed by bytes");
+  }
+  *name = key.substr(0, brace);
+  *labels = key.substr(brace + 1, close - brace - 1);
 }
 
 std::string PromKey(const std::string& name, const std::string& suffix,
@@ -279,10 +311,6 @@ std::string PromDouble(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
-}
-
-[[noreturn]] void ParseError(const std::string& why) {
-  throw std::invalid_argument("metrics parse error: " + why);
 }
 
 /// All of `text` as an int64, the only sample value the serializer writes:
@@ -369,28 +397,9 @@ MetricsSnapshot MetricRegistry::FromPrometheusText(const std::string& text) {
       continue;
     }
     // "<name>[{labels}] <value>". The key ends at the first space OUTSIDE
-    // the label braces — a quoted label value may itself contain spaces
-    // (escaped quotes/backslashes are skipped while scanning), so a plain
-    // rfind(' ') would split inside the labels.
-    size_t key_end = std::string::npos;
-    {
-      bool in_quotes = false;
-      for (size_t i = 0; i < line.size(); ++i) {
-        const char ch = line[i];
-        if (in_quotes) {
-          if (ch == '\\') {
-            ++i;  // skip the escaped character
-          } else if (ch == '"') {
-            in_quotes = false;
-          }
-        } else if (ch == '"') {
-          in_quotes = true;
-        } else if (ch == ' ') {
-          key_end = i;
-          break;
-        }
-      }
-    }
+    // the label values — a quoted label value may itself contain spaces, so
+    // a plain rfind(' ') would split inside the labels.
+    const size_t key_end = FindUnquoted(line, 0, ' ');
     if (key_end == std::string::npos) {
       ParseError("bad sample line '" + line + "'");
     }

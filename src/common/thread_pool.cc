@@ -177,17 +177,18 @@ void ThreadPool::WorkerLoop(int slot) {
   }
 }
 
-void ThreadPool::ParallelFor(int64_t n,
-                             const std::function<void(int64_t)>& fn) {
+void ParallelFor(ThreadPool* pool, int64_t n,
+                 const std::function<void(int64_t)>& fn) {
   if (n <= 0) return;
-  if (num_threads_ == 1 || n == 1) {
+  const int num_threads = pool == nullptr ? 1 : pool->num_threads();
+  if (num_threads == 1 || n == 1) {
     for (int64_t i = 0; i < n; ++i) fn(i);
     return;
   }
 
   // Aim for several chunks per thread so late stragglers rebalance, but
   // chunks of at least one item so the cursor isn't contended per item.
-  const int64_t grain = std::max<int64_t>(1, n / (int64_t{8} * num_threads_));
+  const int64_t grain = std::max<int64_t>(1, n / (int64_t{8} * num_threads));
   std::atomic<int64_t> next{0};
   std::atomic<bool> failed{false};
   // Everything is captured by reference: the TaskGroup below joins all
@@ -209,8 +210,8 @@ void ThreadPool::ParallelFor(int64_t n,
 
   const int64_t chunks = (n + grain - 1) / grain;
   const int fanout =
-      static_cast<int>(std::min<int64_t>(num_threads_ - 1, chunks));
-  TaskGroup group(this);
+      static_cast<int>(std::min<int64_t>(num_threads - 1, chunks));
+  TaskGroup group(pool);
   for (int i = 0; i < fanout; ++i) group.Submit(run_chunks);
 
   std::exception_ptr caller_error;

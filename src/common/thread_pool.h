@@ -20,9 +20,9 @@ namespace common {
 class TaskGroup;
 
 /// A fixed-size work-stealing task scheduler. The primitive is a task —
-/// submitted through a `TaskGroup` — plus `ParallelFor`, implemented on top,
-/// which keeps the chunked self-balancing loop the prover's batch implication
-/// API (`Prover::ProveAll`) and the discovery lattice rely on.
+/// submitted through a `TaskGroup` — plus `ParallelFor` (below), implemented
+/// on top, which keeps the chunked self-balancing loop the prover's batch
+/// implication API (`Prover::ProveAll`) and the discovery lattice rely on.
 ///
 /// Scheduling: every worker owns a deque (pushed and popped LIFO at the back
 /// for locality); external threads submit into a shared injection queue; a
@@ -38,18 +38,6 @@ class TaskGroup;
 /// blocking the thread, so a plan whose fragments contain their own parallel
 /// regions cannot deadlock even with every worker inside an outer task.
 ///
-/// `ParallelFor(n, fn)` semantics (unchanged from the pre-task-queue pool):
-///   * invokes `fn(i)` exactly once for every i ∈ [0, n) and returns when
-///     all invocations have finished. The calling thread participates, so a
-///     pool of size T uses T threads total and `ThreadPool(1)` degenerates
-///     to a plain serial loop with no synchronization.
-///   * `fn` runs concurrently with itself; it must only touch shared state
-///     through its own index (or its own synchronization).
-///   * If an invocation throws, the first recorded exception is rethrown on
-///     the calling thread after the loop drains; remaining unclaimed chunks
-///     are abandoned (claimed ones still finish).
-///   * Concurrent and nested calls are both fine: each invocation is an
-///     independent task group, and nested callers help run their own chunks.
 class ThreadPool {
  public:
   /// `num_threads` ≤ 0 selects HardwareConcurrency().
@@ -65,8 +53,6 @@ class ThreadPool {
 
   /// std::thread::hardware_concurrency(), never less than 1.
   static int HardwareConcurrency();
-
-  void ParallelFor(int64_t n, const std::function<void(int64_t)>& fn);
 
   /// Runs one queued task if any is runnable: own deque (LIFO), then the
   /// injection queue, then a FIFO steal sweep over the other workers.
@@ -117,6 +103,21 @@ class ThreadPool {
   std::atomic<int64_t> queued_{0};  // runnable (not yet taken) tasks
   bool stop_ = false;               // guarded by idle_mu_
 };
+
+/// Invokes `fn(i)` exactly once for every i ∈ [0, n) and returns when all
+/// invocations have finished:
+///   * The calling thread participates, so a pool of size T uses T threads
+///     total. A null or one-thread pool runs the loop inline, in index
+///     order, with no synchronization — callers need no serial branch.
+///   * `fn` runs concurrently with itself; it must only touch shared state
+///     through its own index (or its own synchronization).
+///   * If an invocation throws, the first recorded exception is rethrown on
+///     the calling thread after the loop drains; remaining unclaimed chunks
+///     are abandoned (claimed ones still finish).
+///   * Concurrent and nested calls are both fine: each invocation is an
+///     independent task group, and nested callers help run their own chunks.
+void ParallelFor(ThreadPool* pool, int64_t n,
+                 const std::function<void(int64_t)>& fn);
 
 /// A set of tasks whose completion (and first exception) the submitter
 /// observes as a unit. Submit from any thread — including from inside

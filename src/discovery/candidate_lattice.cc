@@ -1,8 +1,6 @@
 #include "discovery/candidate_lattice.h"
 
 #include <algorithm>
-#include <functional>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -41,146 +39,33 @@ std::unordered_map<uint64_t, const Node*> IndexLevel(const Level& level) {
   return index;
 }
 
-/// What one node's split pass produced. Kept node-local so the nodes of a
-/// level can validate concurrently; the traversal merges outcomes back into
-/// the global result and the discovered-FD set in node order, making the
-/// parallel run bit-identical to the serial one.
-struct SplitOutcome {
-  std::vector<ConstancyOd> found;
-  int64_t checks = 0;
+/// One validation question of a level: does `od` hold? `node` indexes the
+/// lattice node that asked it; the od's context plus its attributes are
+/// that node's attribute set.
+template <typename Od>
+struct Question {
+  size_t node;
+  Od od;
 };
 
-/// Likewise for the swap pass.
-struct SwapOutcome {
-  std::vector<CompatibilityOd> found;
-  int64_t checks = 0;
-  int64_t trivial_pruned = 0;
-};
-
-/// The split candidates of `node` still open when its level starts. The
-/// single source of truth for both the validation pass (ProcessSplits) and
-/// the parallel-mode partition prewarm (SplitQuerySets) — the lock-free
-/// validation relies on the prewarm covering exactly these questions, so
-/// the two must never be enumerated independently.
-AttributeSet OpenSplitCandidates(const Node& node) {
-  return node.attrs.Intersect(node.rhs_candidates);
-}
-
-/// The context of pair `p` at `node` if its compatibility still needs
-/// validating, nullopt if the FD-closure triviality prune settles it. As
-/// above: the one decision both ProcessSwaps and SwapQuerySets consult.
-std::optional<AttributeSet> OpenSwapContext(const Node& node,
-                                            const AttrPair& p,
-                                            const fd::FdSet& discovered) {
-  AttributeSet context = node.attrs;
-  context.Remove(p.first);
-  context.Remove(p.second);
-  const AttributeSet closure = discovered.Closure(context);
-  if (closure.Contains(p.first) || closure.Contains(p.second)) {
-    return std::nullopt;
-  }
-  return context;
-}
-
-/// Validates the still-open split candidates of `node` (TANE
-/// COMPUTE_DEPENDENCIES step), recording minimal constancy ODs. Touches
-/// only the node and the outcome — safe to run concurrently across nodes.
-SplitOutcome ProcessSplits(Node& node, ValidationOracle& oracle,
-                           const AttributeSet& universe) {
-  SplitOutcome out;
-  // A hit removes only the hit attribute and everything outside the node
-  // from C⁺, so the remaining snapshot entries (all inside the node) stay
-  // valid candidates as the loop mutates the set.
-  for (AttributeId a : OpenSplitCandidates(node).ToVector()) {
-    AttributeSet context = node.attrs;
-    context.Remove(a);
-    ++out.checks;
-    if (!oracle.ConstancyHolds(context, a)) continue;
-    out.found.push_back({context, a});
-    node.rhs_candidates.Remove(a);
-    node.rhs_candidates =
-        node.rhs_candidates.Minus(universe.Minus(node.attrs));
-  }
-  return out;
-}
-
-/// Validates the open pair candidates of `node`, after the FD-closure
-/// triviality prune. Pairs that validate (or prove trivial) are removed so
-/// superset nodes treat them as settled. Reads `discovered` (fixed for the
-/// level once the split pass has merged) and touches only the node and the
-/// outcome — safe to run concurrently across nodes.
-SwapOutcome ProcessSwaps(Node& node, ValidationOracle& oracle,
-                         const fd::FdSet& discovered) {
-  SwapOutcome out;
-  std::vector<AttrPair> still_open;
-  still_open.reserve(node.pairs.size());
-  for (const AttrPair& p : node.pairs) {
-    const std::optional<AttributeSet> context =
-        OpenSwapContext(node, p, discovered);
-    if (!context) {
-      // One side is constant within every context class (this also covers
-      // superkey contexts): the compatibility holds trivially and is
-      // implied by the constancy cover, so it is neither validated nor
-      // reported.
-      ++out.trivial_pruned;
-      continue;
-    }
-    ++out.checks;
-    if (oracle.CompatibilityHolds(*context, p.first, p.second)) {
-      out.found.push_back({*context, p.first, p.second});
-    } else {
-      still_open.push_back(p);
-    }
-  }
-  node.pairs = std::move(still_open);
-  return out;
-}
-
-/// Runs `fn(i)` for every node index, on the pool when parallel validation
-/// is on, serially (in index order) otherwise.
-void ForEachNode(size_t n, common::ThreadPool* pool,
-                 const std::function<void(int64_t)>& fn) {
-  if (pool != nullptr && n > 1) {
-    pool->ParallelFor(static_cast<int64_t>(n), fn);
-  } else {
-    for (int64_t i = 0; i < static_cast<int64_t>(n); ++i) fn(i);
-  }
-}
-
-/// The attribute sets the split pass of `level` will consult: each node
-/// with open candidates (per OpenSplitCandidates, the same enumeration
-/// ProcessSplits walks) contributes itself (the refinement) and the
-/// context per candidate.
-std::vector<AttributeSet> SplitQuerySets(const Level& level) {
-  std::vector<AttributeSet> sets;
-  for (const Node& node : level) {
-    const AttributeSet cands = OpenSplitCandidates(node);
-    if (cands.IsEmpty()) continue;
-    sets.push_back(node.attrs);
-    for (AttributeId a : cands.ToVector()) {
-      AttributeSet context = node.attrs;
-      context.Remove(a);
-      sets.push_back(context);
-    }
-  }
-  return sets;
-}
-
-/// The contexts the swap pass of `level` will consult: pairs whose
-/// OpenSwapContext (the same decision ProcessSwaps makes, against the same
-/// post-split `discovered`) says validation is still needed.
-std::vector<AttributeSet> SwapQuerySets(const Level& level,
-                                        const fd::FdSet& discovered) {
-  std::vector<AttributeSet> sets;
-  for (const Node& node : level) {
-    if (node.attrs.Size() < 2) continue;
-    for (const AttrPair& p : node.pairs) {
-      const std::optional<AttributeSet> context =
-          OpenSwapContext(node, p, discovered);
-      if (context) sets.push_back(*context);
-    }
-  }
-  return sets;
+/// Announces the sets a level's questions read, then answers `ask(od)` for
+/// every question through one fan-out (inline for a null or one-thread
+/// pool). Each question writes only its own answer slot, and PrepareLevel
+/// has made the oracle read-only for the announced sets, so the fan-out
+/// takes no locks; the answers come back in question order.
+template <typename Od, typename Ask>
+std::vector<uint8_t> Answer(const std::vector<Question<Od>>& questions,
+                            const std::vector<AttributeSet>& reads,
+                            ValidationOracle& oracle,
+                            common::ThreadPool* pool, const Ask& ask) {
+  oracle.PrepareLevel(reads, pool);
+  std::vector<uint8_t> holds(questions.size(), 0);
+  common::ParallelFor(pool, static_cast<int64_t>(questions.size()),
+                      [&](int64_t i) {
+                        holds[static_cast<size_t>(i)] =
+                            ask(questions[static_cast<size_t>(i)].od);
+                      });
+  return holds;
 }
 
 /// Builds level l + 1 from level l: every superset-by-one of an alive node,
@@ -251,9 +136,6 @@ LatticeResult TraverseLattice(int num_attributes, ValidationOracle& oracle,
   const int max_level = opts.max_level < 0
                             ? num_attributes
                             : std::min(opts.max_level, num_attributes);
-  common::ThreadPool* pool =
-      (opts.pool != nullptr && opts.pool->num_threads() > 1) ? opts.pool
-                                                             : nullptr;
 
   // The discovered constancy ODs, as FDs: drives the implied-candidate and
   // key/constant-context pruning via attribute-set closure. A pair's
@@ -272,50 +154,87 @@ LatticeResult TraverseLattice(int num_attributes, ValidationOracle& oracle,
     level = GenerateNextLevel(level, universe, out.stats);
     out.stats.levels = l;
     out.stats.nodes_visited += static_cast<int64_t>(level.size());
-    int64_t level_checks = 0;
-    int64_t level_found = 0;
+    const size_t constancies_before = out.constancies.size();
+    const size_t compatibilities_before = out.compatibilities.size();
 
-    // Split pass. Nodes only touch themselves and their outcome, so they
-    // validate concurrently; in parallel mode the oracle first prepares the
-    // level's partitions behind a barrier (PrepareLevel), making its
-    // answers read-only afterwards.
-    if (pool != nullptr) oracle.PrepareLevel(SplitQuerySets(level), *pool);
-    std::vector<SplitOutcome> splits(level.size());
-    ForEachNode(level.size(), pool, [&](int64_t i) {
-      splits[i] = ProcessSplits(level[i], oracle, universe);
-    });
-    for (SplitOutcome& s : splits) {  // merge in node order
-      out.stats.split_checks += s.checks;
-      level_checks += s.checks;
-      level_found += static_cast<int64_t>(s.found.size());
-      for (ConstancyOd& c : s.found) {
-        discovered.Add(c.context, AttributeSet({c.attr}));
-        out.constancies.push_back(std::move(c));
+    // Split pass (TANE COMPUTE_DEPENDENCIES): one question per open C⁺
+    // candidate inside each node. A hit removes only the hit attribute and
+    // everything outside the node from C⁺, so the other candidates listed
+    // for the node stay open and every question is known up front.
+    std::vector<Question<ConstancyOd>> splits;
+    std::vector<AttributeSet> reads;
+    for (size_t i = 0; i < level.size(); ++i) {
+      const Node& node = level[i];
+      const AttributeSet open = node.attrs.Intersect(node.rhs_candidates);
+      for (AttributeId a : open.ToVector()) {
+        AttributeSet context = node.attrs;
+        context.Remove(a);
+        splits.push_back({i, {context, a}});
+        reads.push_back(context);
+        reads.push_back(node.attrs);
       }
+    }
+    const std::vector<uint8_t> split_holds =
+        Answer(splits, reads, oracle, opts.pool, [&](const ConstancyOd& c) {
+          return oracle.ConstancyHolds(c.context, c.attr);
+        });
+    for (size_t i = 0; i < splits.size(); ++i) {  // apply in node order
+      if (split_holds[i] == 0) continue;
+      const ConstancyOd& c = splits[i].od;
+      Node& node = level[splits[i].node];
+      node.rhs_candidates.Remove(c.attr);
+      node.rhs_candidates =
+          node.rhs_candidates.Minus(universe.Minus(node.attrs));
+      discovered.Add(c.context, AttributeSet({c.attr}));
+      out.constancies.push_back(c);
     }
 
     // Swaps after splits: a level-l pair context has l − 2 attributes, and
     // the closure prune wants every FD with an LHS that small — all found
-    // by the end of this level's split pass. `discovered` is final for the
-    // level from here on, so the swap pass reads it concurrently.
-    if (pool != nullptr) {
-      oracle.PrepareLevel(SwapQuerySets(level, discovered), *pool);
-    }
-    std::vector<SwapOutcome> swaps(level.size());
-    ForEachNode(level.size(), pool, [&](int64_t i) {
-      if (level[i].attrs.Size() >= 2) {
-        swaps[i] = ProcessSwaps(level[i], oracle, discovered);
+    // by the end of this level's split pass. A pair whose context
+    // determines either side is constant within every context class (this
+    // also covers superkey contexts): its compatibility holds trivially and
+    // is implied by the constancy cover, so it is neither validated nor
+    // reported. Settled pairs (trivial or validated) leave the node, so
+    // superset nodes treat them as settled; failed pairs stay, in order.
+    std::vector<Question<CompatibilityOd>> swaps;
+    reads.clear();
+    for (size_t i = 0; i < level.size(); ++i) {
+      Node& node = level[i];
+      for (const AttrPair& p : node.pairs) {
+        AttributeSet context = node.attrs;
+        context.Remove(p.first);
+        context.Remove(p.second);
+        const AttributeSet closure = discovered.Closure(context);
+        if (closure.Contains(p.first) || closure.Contains(p.second)) {
+          ++out.stats.trivial_swaps_pruned;
+          continue;
+        }
+        swaps.push_back({i, {context, p.first, p.second}});
+        reads.push_back(context);
       }
-    });
-    for (SwapOutcome& s : swaps) {  // merge in node order
-      out.stats.swap_checks += s.checks;
-      level_checks += s.checks;
-      level_found += static_cast<int64_t>(s.found.size());
-      out.stats.trivial_swaps_pruned += s.trivial_pruned;
-      for (CompatibilityOd& c : s.found) {
-        out.compatibilities.push_back(std::move(c));
+      node.pairs.clear();
+    }
+    const std::vector<uint8_t> swap_holds = Answer(
+        swaps, reads, oracle, opts.pool, [&](const CompatibilityOd& c) {
+          return oracle.CompatibilityHolds(c.context, c.a, c.b);
+        });
+    for (size_t i = 0; i < swaps.size(); ++i) {  // apply in node order
+      const CompatibilityOd& c = swaps[i].od;
+      if (swap_holds[i] != 0) {
+        out.compatibilities.push_back(c);
+      } else {
+        level[swaps[i].node].pairs.push_back({c.a, c.b});
       }
     }
+
+    out.stats.split_checks += static_cast<int64_t>(splits.size());
+    out.stats.swap_checks += static_cast<int64_t>(swaps.size());
+    const int64_t level_checks =
+        static_cast<int64_t>(splits.size() + swaps.size());
+    const int64_t level_found = static_cast<int64_t>(
+        out.constancies.size() - constancies_before +
+        out.compatibilities.size() - compatibilities_before);
 
     // Per-level lattice telemetry: one labeled series per level, so a
     // scrape shows where in the lattice the work (and the yield) sits.

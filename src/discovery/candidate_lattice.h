@@ -51,16 +51,17 @@ class ValidationOracle {
   virtual bool CompatibilityHolds(const AttributeSet& context, AttributeId a,
                                   AttributeId b) = 0;
 
-  /// Parallel-mode hook, invoked before a batch of validations runs on the
-  /// pool: `sets` lists every attribute set (contexts and refinements) the
-  /// coming ConstancyHolds / CompatibilityHolds calls will consult, so the
-  /// oracle can materialize shared state up front and answer the batch from
-  /// read-only data. After this returns, the validation methods must be
-  /// safe to call concurrently for the announced sets. Never called in
-  /// serial traversals; the default ignores it (fine for oracles that are
-  /// stateless or already thread-safe).
+  /// Called before every batch of validations — each level's split
+  /// questions, then its swap questions: `sets` lists every attribute set
+  /// (contexts and refinements) the coming ConstancyHolds /
+  /// CompatibilityHolds calls will consult, so the oracle can materialize
+  /// shared state up front (on `pool`, which may be null) and answer the
+  /// batch from read-only data. After this returns, the validation methods
+  /// must be safe to call concurrently for the announced sets. The default
+  /// ignores it (fine for oracles that are stateless or already
+  /// thread-safe).
   virtual void PrepareLevel(const std::vector<AttributeSet>& sets,
-                            common::ThreadPool& pool) {
+                            common::ThreadPool* pool) {
     (void)sets;
     (void)pool;
   }
@@ -76,13 +77,12 @@ struct LatticeOptions {
   /// cover to ODs whose canonical context fits the cap.
   int max_level = -1;
 
-  /// When set (and sized > 1), the split and swap validations of each level
-  /// fan out across this pool: the level's candidates are independent, so
-  /// nodes validate concurrently after a PrepareLevel barrier, and per-node
-  /// results merge back in node order — the traversal, its statistics, and
-  /// the emitted ODs are bit-identical to the serial run. The oracle must
-  /// honor the PrepareLevel contract above. Null (the default) keeps the
-  /// fully serial path.
+  /// The pool each level's split and swap questions fan out across, after
+  /// the PrepareLevel call that announces them; the answers apply in node
+  /// order. Null (the default) or a one-thread pool answers them inline on
+  /// the calling thread through the same steps, so the traversal, its
+  /// statistics, and the emitted ODs are identical at every thread count.
+  /// The oracle must honor the PrepareLevel contract above.
   common::ThreadPool* pool = nullptr;
 };
 

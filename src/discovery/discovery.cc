@@ -23,10 +23,7 @@ class PartitionOracle : public ValidationOracle {
   bool ConstancyHolds(const AttributeSet& context, AttributeId attr) override {
     AttributeSet with = context;
     with.Add(attr);
-    // Get the refined partition first: Get() may evaluate parents lazily,
-    // and both lookups want the context partition cached either way.
-    const StrippedPartition& refined = cache_.Get(with);
-    return SplitCandidateHolds(cache_.Get(context), refined);
+    return SplitCandidateHolds(cache_.Get(context), cache_.Get(with));
   }
 
   bool CompatibilityHolds(const AttributeSet& context, AttributeId a,
@@ -37,11 +34,10 @@ class PartitionOracle : public ValidationOracle {
   }
 
   void PrepareLevel(const std::vector<AttributeSet>& sets,
-                    common::ThreadPool& pool) override {
+                    common::ThreadPool* pool) override {
     // After the prewarm, every Get the announced validations perform is a
-    // pure lookup, so ConstancyHolds / CompatibilityHolds run lock-free in
-    // parallel.
-    cache_.Prewarm(sets, &pool);
+    // pure lookup, so ConstancyHolds / CompatibilityHolds run lock-free.
+    cache_.Prewarm(sets, pool);
   }
 
   void OnLevelFinished(int level) override {

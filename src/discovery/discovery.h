@@ -38,11 +38,12 @@ struct DiscoveryOptions {
   int max_level = -1;
 
   /// Threads for level validation: each lattice level's partitions are
-  /// built up front, then its split/swap candidates validate concurrently
-  /// on a pool of this size. Results (ODs, statistics, partition counts)
-  /// are bit-identical to the serial run — candidates within a level are
-  /// independent and outcomes merge in node order. 1 (the default) keeps
-  /// the serial path; 0 means hardware concurrency.
+  /// built up front, then its split/swap candidates validate on a pool of
+  /// this size. 1 (the default) runs the same steps inline on the calling
+  /// thread, with no pool; 0 means hardware concurrency. Results (ODs,
+  /// statistics, partition counts) are identical at every thread count —
+  /// candidates within a level are independent and their answers apply in
+  /// node order.
   int num_threads = 1;
 };
 

@@ -114,30 +114,14 @@ StrippedPartition StrippedPartition::Product(
   return out;
 }
 
-const StrippedPartition& PartitionCache::Get(const AttributeSet& x) {
-  auto it = cache_.find(x.bits());
-  if (it != cache_.end()) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
+const StrippedPartition& PartitionCache::Get(const AttributeSet& x) const {
+  const auto it = cache_.find(x.bits());
+  if (it == cache_.end()) {
+    throw std::logic_error("PartitionCache::Get: no partition prewarmed for " +
+                           od::ToString(x));
   }
-
-  StrippedPartition part;
-  if (x.Size() <= 1) {
-    part = ComputeFromCached(x);
-  } else {
-    // Split off the lowest attribute: π*(X) = π*(X \ {a}) · π*({a}). The
-    // level-wise traversal normally has the (l−1)-subset already cached, so
-    // the recursion is one product deep in practice.
-    const AttributeId a = x.ToVector().front();
-    AttributeSet rest = x;
-    rest.Remove(a);
-    const StrippedPartition& base = Get(AttributeSet({a}));
-    part = Get(rest).Product(base);
-  }
-  ++computed_;
-  auto [pos, inserted] = cache_.emplace(x.bits(), std::move(part));
-  assert(inserted);
-  return pos->second;
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  return it->second;
 }
 
 StrippedPartition PartitionCache::ComputeFromCached(
@@ -153,9 +137,8 @@ StrippedPartition PartitionCache::ComputeFromCached(
   const auto base = cache_.find(AttributeSet({a}).bits());
   const auto rest_it = cache_.find(rest.bits());
   if (base == cache_.end() || rest_it == cache_.end()) {
-    // A miss here means Prewarm's dependency tiers (or a caller's set list)
-    // broke the "strict subsets already cached" contract. Fail loudly: in
-    // parallel mode the fallback would be a concurrent cache mutation.
+    // A miss here means Prewarm's dependency tiers broke the "strict
+    // subsets already cached" contract.
     throw std::logic_error(
         "PartitionCache::ComputeFromCached: subset partition missing for " +
         od::ToString(x));
@@ -165,9 +148,9 @@ StrippedPartition PartitionCache::ComputeFromCached(
 
 void PartitionCache::Prewarm(const std::vector<AttributeSet>& sets,
                              common::ThreadPool* pool) {
-  // Every requested set plus the chain ancestors Get() would recurse
-  // through (repeatedly dropping the lowest attribute, plus that
-  // attribute's singleton base), deduped against the cache and each other.
+  // Every requested set plus the chain its product reads (repeatedly
+  // dropping the lowest attribute, plus that attribute's singleton base),
+  // deduped against the cache and each other.
   std::unordered_set<uint64_t> seen;
   std::vector<AttributeSet> todo;
   const auto need = [&](AttributeSet x) {
@@ -206,14 +189,9 @@ void PartitionCache::Prewarm(const std::vector<AttributeSet>& sets,
     }
     const int64_t tier_size = static_cast<int64_t>(tier_end - tier_begin);
     std::vector<StrippedPartition> built(tier_size);
-    const auto build_one = [&](int64_t i) {
+    common::ParallelFor(pool, tier_size, [&](int64_t i) {
       built[i] = ComputeFromCached(todo[tier_begin + i]);
-    };
-    if (pool != nullptr) {
-      pool->ParallelFor(tier_size, build_one);
-    } else {
-      for (int64_t i = 0; i < tier_size; ++i) build_one(i);
-    }
+    });
     for (int64_t i = 0; i < tier_size; ++i) {
       cache_.emplace(todo[tier_begin + i].bits(), std::move(built[i]));
       ++computed_;

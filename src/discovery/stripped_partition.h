@@ -72,27 +72,25 @@ class StrippedPartition {
 /// evicted as the traversal moves up (`EvictLevel`), keeping the working
 /// set to two levels plus the single-column bases.
 ///
-/// Thread safety: `Get` mutates the cache on a miss, so concurrent calls
-/// are only safe after `Prewarm` has materialized every set the callers
-/// will ask for — then every Get is a pure hash lookup. This is the
-/// read-concurrent mode the parallel lattice validation uses: partitions
-/// for a level are built up front (itself parallelized, in dependency
-/// tiers), and the validators read them lock-free.
+/// `Prewarm` is the only builder and `Get` only looks up. Thread safety:
+/// Prewarm and EvictLevel mutate the cache and run alone; between them,
+/// any number of threads may Get concurrently, lock-free. The lattice
+/// prewarms each level's sets before it validates them (at every thread
+/// count), so the validators only ever read.
 class PartitionCache {
  public:
   explicit PartitionCache(const engine::Table& t) : table_(&t) {}
 
-  /// Returns π*(x), computing and caching it (and any missing ancestors
-  /// along the lowest-attribute chain) on demand.
-  const StrippedPartition& Get(const AttributeSet& x);
+  /// Returns the cached π*(x). Throws std::logic_error when no Prewarm
+  /// since x's last eviction has built it.
+  const StrippedPartition& Get(const AttributeSet& x) const;
 
-  /// Materializes π*(x) for every set in `sets` (plus the chain ancestors
-  /// `Get` would recurse through), so subsequent Gets for them are
-  /// read-only and thread-safe. Partitions are built in ascending-size
+  /// Materializes π*(x) for every set in `sets`, plus the chain each
+  /// product reads: π*(X) = π*(X \ {a}) · π*({a}) for the lowest attribute
+  /// a, down to single columns. Partitions are built in ascending-size
   /// tiers; within a tier every build only reads strictly smaller cached
-  /// partitions, so tiers parallelize over `pool` (serial when null).
-  /// Computes exactly the partitions a serial Get sequence would, in the
-  /// same count (`computed()` stays comparable).
+  /// partitions, so each tier fans out over `pool` (inline when null).
+  /// Sets already cached are neither rebuilt nor counted again.
   void Prewarm(const std::vector<AttributeSet>& sets,
                common::ThreadPool* pool);
 
@@ -100,17 +98,15 @@ class PartitionCache {
   /// and 1 are always retained (they seed every product chain).
   void EvictLevel(int level);
 
-  /// Number of partitions materialized so far (cache misses).
+  /// Number of partitions Prewarm has built so far.
   int64_t computed() const { return computed_; }
-  /// Number of Gets answered from the cache. Atomic because read-concurrent
-  /// Gets (post-Prewarm) all land on the hit path.
+  /// Number of Gets answered. Atomic because Gets run concurrently.
   int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   int64_t size() const { return static_cast<int64_t>(cache_.size()); }
 
  private:
-  /// Builds π*(x) from already-cached strict subsets (the product step of
-  /// `Get`, without the recursion or the insertion). Prewarm's parallel
-  /// tier builds go through this const path.
+  /// Builds π*(x) from its already-cached chain inputs, without inserting
+  /// it: Prewarm's tier builds run this concurrently.
   StrippedPartition ComputeFromCached(const AttributeSet& x) const;
 
   const engine::Table* table_;

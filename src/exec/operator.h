@@ -131,13 +131,10 @@ OpPtr Project(OpPtr child, std::vector<engine::ColumnId> cols);
 /// row. Output schema: group columns, then one column per aggregate; output
 /// ordering: the prefix of the child's ordering covered by group columns.
 /// Each output batch fills to `batch_rows` groups; only the last is short.
+/// With no aggregates it is a streaming DISTINCT.
 OpPtr StreamAggregate(OpPtr child, std::vector<engine::ColumnId> group_cols,
                       std::vector<engine::AggSpec> aggs,
                       int64_t batch_rows = kDefaultBatchRows);
-
-/// Streaming DISTINCT — StreamAggregate with no aggregates; same
-/// contiguity precondition and run-per-group behavior on violation.
-OpPtr StreamDistinct(OpPtr child, std::vector<engine::ColumnId> cols);
 
 /// Streaming merge join on single-column equi-keys of any type (key
 /// comparison goes through engine::Column::Compare, so double keys order by

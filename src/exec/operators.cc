@@ -714,10 +714,6 @@ OpPtr StreamAggregate(OpPtr child, std::vector<ColumnId> group_cols,
       std::move(child), std::move(group_cols), std::move(aggs), batch_rows);
 }
 
-OpPtr StreamDistinct(OpPtr child, std::vector<ColumnId> cols) {
-  return StreamAggregate(std::move(child), std::move(cols), {});
-}
-
 OpPtr MergeJoin(OpPtr left, ColumnId left_key, OpPtr right,
                 ColumnId right_key, opt::ExecStats* stats, int64_t batch_rows,
                 const std::string& right_prefix) {

@@ -573,16 +573,9 @@ std::vector<bool> Prover::ProveAll(const std::vector<OrderDependency>& deps,
   // vector<bool> packs bits, so concurrent writes to distinct elements
   // race; collect into bytes and convert once.
   std::vector<uint8_t> results(deps.size(), 0);
-  const auto prove_one = [&](int64_t i) {
+  common::ParallelFor(pool, static_cast<int64_t>(deps.size()), [&](int64_t i) {
     results[static_cast<size_t>(i)] = Implies(deps[static_cast<size_t>(i)]);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(static_cast<int64_t>(deps.size()), prove_one);
-  } else {
-    for (int64_t i = 0; i < static_cast<int64_t>(deps.size()); ++i) {
-      prove_one(i);
-    }
-  }
+  });
   return std::vector<bool>(results.begin(), results.end());
 }
 

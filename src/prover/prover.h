@@ -161,9 +161,10 @@ class Prover {
   /// shared-lock map lookup.
   std::optional<bool> CachedImplies(const OrderDependency& dep) const;
 
-  /// Batch form of Implies: answers every query, fanning the model searches
-  /// across `pool` when given (serial fallback otherwise). Results are
-  /// positionally aligned with `deps` and bit-identical to asking serially.
+  /// Batch form of Implies: answers every query through common::ParallelFor,
+  /// fanning the model searches across `pool` (inline when it is null).
+  /// Results are positionally aligned with `deps` and bit-identical to
+  /// asking serially.
   std::vector<bool> ProveAll(const std::vector<OrderDependency>& deps,
                              common::ThreadPool* pool = nullptr) const;
 

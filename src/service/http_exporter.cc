@@ -2,10 +2,12 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <stdexcept>
@@ -59,11 +61,28 @@ std::string ReadRequest(int fd) {
   return request;
 }
 
+/// How long one connection's whole response may take to send. A scraper
+/// reads as fast as the response arrives; a client that stops reading is
+/// cut off after this and closed, so it cannot hold the accept thread (nor
+/// Stop(), which joins it).
+constexpr std::chrono::seconds kSendTimeout{2};
+
+/// Sends `data` until it is all out, the peer fails, or kSendTimeout after
+/// the call.
 void WriteAll(int fd, const std::string& data) {
+  const auto deadline = std::chrono::steady_clock::now() + kSendTimeout;
   size_t off = 0;
   while (off < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd writable{fd, POLLOUT, 0};
+    if (left.count() <= 0 ||
+        ::poll(&writable, 1, static_cast<int>(left.count())) <= 0) {
+      return;
+    }
+    const ssize_t n = ::send(fd, data.data() + off, data.size() - off,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) continue;
     if (n <= 0) return;
     off += static_cast<size_t>(n);
   }

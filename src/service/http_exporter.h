@@ -37,9 +37,11 @@ struct HttpExporterOptions {
 /// One request per connection, handled serially on the accept thread: a
 /// scrape every few seconds from one or two collectors, not a web server.
 /// A connection that has not sent its request headers within a fixed
-/// timeout is answered 400 and closed, so an idle client cannot hold the
-/// accept thread. `HandleRequest` is the socket-free dispatch core,
-/// unit-tested directly.
+/// timeout is answered 400 and closed, and one whose response has not all
+/// been sent within a fixed deadline is closed, so neither an idle client
+/// nor one that stops reading can hold the accept thread (or Stop()) for
+/// longer. `HandleRequest` is the socket-free dispatch core, unit-tested
+/// directly.
 class HttpExporter {
  public:
   explicit HttpExporter(HttpExporterOptions options = HttpExporterOptions());

@@ -211,6 +211,21 @@ TEST(PrometheusParserTest, NumbersParseInFullOrThrowInvalidArgument) {
   EXPECT_EQ(snap.gauges.at("g"), std::numeric_limits<int64_t>::min());
 }
 
+TEST(PrometheusParserTest, MalformedLabelBodiesThrowInvalidArgument) {
+  // An unclosed label body, and bytes after a closed one: neither is a key
+  // the serializer writes, and neither would print back as it was read.
+  EXPECT_THROW(
+      MetricRegistry::FromPrometheusText("# TYPE a counter\na{b 1\n"),
+      std::invalid_argument);
+  EXPECT_THROW(MetricRegistry::FromPrometheusText(
+                   "# TYPE a counter\na{x=\"1\"}junk 1\n"),
+               std::invalid_argument);
+  // A `}` inside a quoted value does not close the body.
+  const MetricsSnapshot snap = MetricRegistry::FromPrometheusText(
+      "# TYPE a counter\na{x=\"}\\\"\"} 1\n");
+  EXPECT_EQ(snap.counters.at("a{x=\"}\\\"\"}"), 1);
+}
+
 /// A live exposition with every series shape the serializer writes:
 /// plain and labeled counters (label values with spaces, quotes,
 /// backslashes, tabs and newlines), a negative gauge, and histograms with
@@ -264,7 +279,7 @@ TEST(PrometheusParserTest, SeededMutantsParseOrThrowInvalidArgument) {
   auto below = [&](size_t n) {
     return static_cast<size_t>(rng() % static_cast<uint32_t>(n));
   };
-  int parsed = 0, rejected = 0, escaped = 0;
+  int parsed = 0, rejected = 0, escaped = 0, unstable = 0;
   for (int i = 0; i < 20000; ++i) {
     std::string m = base;
     for (size_t edits = 1 + below(4); edits > 0; --edits) {
@@ -287,20 +302,36 @@ TEST(PrometheusParserTest, SeededMutantsParseOrThrowInvalidArgument) {
           break;
       }
     }
+    MetricsSnapshot snap;
     try {
-      (void)MetricRegistry::FromPrometheusText(m);
-      ++parsed;
+      snap = MetricRegistry::FromPrometheusText(m);
     } catch (const std::invalid_argument&) {
       ++rejected;
+      continue;
     } catch (const std::exception& e) {
       if (++escaped <= 5) {
         ADD_FAILURE() << "mutant " << i << " threw " << typeid(e).name()
                       << " (" << e.what() << "):\n"
                       << m;
       }
+      continue;
+    }
+    ++parsed;
+    // What parses prints back to text that parses to the same snapshot.
+    const std::string text = MetricRegistry::ToPrometheusText(snap);
+    bool round_trips = false;
+    try {
+      round_trips = MetricRegistry::FromPrometheusText(text) == snap;
+    } catch (const std::exception&) {
+    }
+    if (!round_trips && ++unstable <= 5) {
+      ADD_FAILURE() << "mutant " << i << " does not round-trip:\n"
+                    << m << "\nprints as:\n"
+                    << text;
     }
   }
   EXPECT_EQ(escaped, 0) << "mutants that threw past std::invalid_argument";
+  EXPECT_EQ(unstable, 0) << "parsed mutants that do not round-trip";
   // Both outcomes occur, so the mutants reach past the first line.
   EXPECT_GT(parsed, 0);
   EXPECT_GT(rejected, 0);
@@ -325,7 +356,7 @@ TEST(JsonStringTest, EscapesQuotesBackslashesAndEveryControlByte) {
 TEST(RegistryTest, ConcurrentRegistrationAndWrites) {
   MetricRegistry& reg = MetricRegistry::Global();
   ThreadPool pool(8);
-  pool.ParallelFor(64, [&](int64_t i) {
+  ParallelFor(&pool, 64, [&](int64_t i) {
     // Half the threads register-and-tick the same counter, half distinct
     // labeled ones; snapshots run concurrently with the writes.
     Counter& c = reg.GetCounter(

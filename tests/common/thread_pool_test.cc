@@ -31,7 +31,7 @@ TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce) {
   constexpr int64_t kN = 10000;
   std::vector<std::atomic<int>> hits(kN);
   for (auto& h : hits) h.store(0);
-  pool.ParallelFor(kN, [&](int64_t i) { hits[i].fetch_add(1); });
+  ParallelFor(&pool, kN, [&](int64_t i) { hits[i].fetch_add(1); });
   for (int64_t i = 0; i < kN; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
@@ -42,15 +42,35 @@ TEST(ThreadPoolTest, SingleThreadRunsInline) {
   // index order.
   ThreadPool pool(1);
   std::vector<int64_t> order;
-  pool.ParallelFor(5, [&](int64_t i) { order.push_back(i); });
+  ParallelFor(&pool, 5, [&](int64_t i) { order.push_back(i); });
   EXPECT_EQ(order, (std::vector<int64_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(ThreadPoolTest, NullPoolRunsInline) {
+  // No pool at all: the same entry point runs the loop on the calling
+  // thread in index order, and an exception reaches the caller.
+  std::vector<int64_t> order;
+  std::vector<std::thread::id> threads;
+  ParallelFor(nullptr, 5, [&](int64_t i) {
+    order.push_back(i);
+    threads.push_back(std::this_thread::get_id());
+  });
+  EXPECT_EQ(order, (std::vector<int64_t>{0, 1, 2, 3, 4}));
+  for (const std::thread::id& id : threads) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+  EXPECT_THROW(ParallelFor(nullptr, 3,
+                           [](int64_t i) {
+                             if (i == 1) throw std::runtime_error("boom");
+                           }),
+               std::runtime_error);
 }
 
 TEST(ThreadPoolTest, ZeroAndNegativeCountsAreNoOps) {
   ThreadPool pool(2);
   int calls = 0;
-  pool.ParallelFor(0, [&](int64_t) { ++calls; });
-  pool.ParallelFor(-3, [&](int64_t) { ++calls; });
+  ParallelFor(&pool, 0, [&](int64_t) { ++calls; });
+  ParallelFor(&pool, -3, [&](int64_t) { ++calls; });
   EXPECT_EQ(calls, 0);
 }
 
@@ -64,7 +84,7 @@ TEST(ThreadPoolTest, ReusableAcrossBatches) {
   for (int round = 0; round < 20; ++round) {
     std::atomic<int64_t> sum{0};
     const int64_t n = 100 + round;
-    pool.ParallelFor(n, [&](int64_t i) { sum.fetch_add(i); });
+    ParallelFor(&pool, n, [&](int64_t i) { sum.fetch_add(i); });
     EXPECT_EQ(sum.load(), n * (n - 1) / 2) << "round " << round;
   }
 }
@@ -73,7 +93,7 @@ TEST(ThreadPoolTest, FirstExceptionPropagatesToCaller) {
   ThreadPool pool(4);
   std::atomic<int64_t> ran{0};
   try {
-    pool.ParallelFor(1000, [&](int64_t i) {
+    ParallelFor(&pool, 1000, [&](int64_t i) {
       if (i == 17) throw std::runtime_error("boom");
       ran.fetch_add(1);
     });
@@ -83,7 +103,7 @@ TEST(ThreadPoolTest, FirstExceptionPropagatesToCaller) {
   }
   // The batch aborts early but the pool stays usable.
   std::atomic<int64_t> sum{0};
-  pool.ParallelFor(10, [&](int64_t i) { sum.fetch_add(i); });
+  ParallelFor(&pool, 10, [&](int64_t i) { sum.fetch_add(i); });
   EXPECT_EQ(sum.load(), 45);
 }
 
@@ -98,8 +118,8 @@ TEST(ThreadPoolTest, ConcurrentCallersSerialize) {
     b[i].store(0);
   }
   std::thread other(
-      [&] { pool.ParallelFor(kN, [&](int64_t i) { a[i].fetch_add(1); }); });
-  pool.ParallelFor(kN, [&](int64_t i) { b[i].fetch_add(1); });
+      [&] { ParallelFor(&pool, kN, [&](int64_t i) { a[i].fetch_add(1); }); });
+  ParallelFor(&pool, kN, [&](int64_t i) { b[i].fetch_add(1); });
   other.join();
   for (int64_t i = 0; i < kN; ++i) {
     ASSERT_EQ(a[i].load(), 1);
@@ -115,8 +135,8 @@ TEST(ThreadPoolTest, NestedParallelForFromWorkerTasksCompletes) {
   // matter how the chunks land on workers.
   ThreadPool pool(4);
   std::atomic<int64_t> total{0};
-  pool.ParallelFor(8, [&](int64_t) {
-    pool.ParallelFor(64, [&](int64_t i) { total.fetch_add(i); });
+  ParallelFor(&pool, 8, [&](int64_t) {
+    ParallelFor(&pool, 64, [&](int64_t i) { total.fetch_add(i); });
   });
   EXPECT_EQ(total.load(), 8 * (64 * 63 / 2));
 }
@@ -126,9 +146,9 @@ TEST(ThreadPoolTest, ThreeLevelNestingCompletes) {
   // already exercises helping from inside helped tasks.
   ThreadPool pool(2);
   std::atomic<int64_t> leaves{0};
-  pool.ParallelFor(4, [&](int64_t) {
-    pool.ParallelFor(4, [&](int64_t) {
-      pool.ParallelFor(4, [&](int64_t) { leaves.fetch_add(1); });
+  ParallelFor(&pool, 4, [&](int64_t) {
+    ParallelFor(&pool, 4, [&](int64_t) {
+      ParallelFor(&pool, 4, [&](int64_t) { leaves.fetch_add(1); });
     });
   });
   EXPECT_EQ(leaves.load(), 64);

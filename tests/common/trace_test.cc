@@ -143,7 +143,7 @@ TEST_F(TraceTest, RingOverflowCountsDrops) {
   EXPECT_EQ(static_cast<int>(events.size()), Tracer::kRingSize);
 }
 
-/// Eight threads trace through ThreadPool::ParallelFor concurrently. A
+/// Eight threads trace through ParallelFor concurrently. A
 /// barrier inside the body holds all eight items open at once, which is
 /// only possible if eight distinct threads (7 workers + the caller) each
 /// claimed one — so the export must show eight tid lanes. Also the TSan
@@ -154,7 +154,7 @@ TEST_F(TraceTest, EightLanesThroughThreadPool) {
   std::mutex mu;
   std::condition_variable cv;
   int arrived = 0;
-  pool.ParallelFor(kLanes, [&](int64_t) {
+  ParallelFor(&pool, kLanes, [&](int64_t) {
     OD_TRACE_SPAN("test.work");
     std::unique_lock<std::mutex> lock(mu);
     if (++arrived == kLanes) {
@@ -220,7 +220,7 @@ TEST_F(TraceTest, ContextPropagatesAcrossPoolIntoOneTree) {
     std::mutex mu;
     std::condition_variable cv;
     int arrived = 0;
-    pool.ParallelFor(kLanes, [&](int64_t) {
+    ParallelFor(&pool, kLanes, [&](int64_t) {
       OD_TRACE_SPAN("test.work");
       nested.Submit([] { OD_TRACE_SPAN("test.nested"); });
       std::unique_lock<std::mutex> lock(mu);
@@ -287,7 +287,7 @@ TEST_F(TraceTest, ConcurrentRequestsDoNotCrossContaminate) {
     TraceContextScope request(TraceContext::NewRequest());
     TraceSpan root(which == 0 ? "test.req_a" : "test.req_b");
     traces[which] = root.context().trace_id;
-    pool.ParallelFor(kItems, [&](int64_t) {
+    ParallelFor(&pool, kItems, [&](int64_t) {
       TraceSpan work(span_name);
       (void)work;
     });

@@ -217,9 +217,9 @@ TEST(CandidateLatticeTest, ParallelTraversalIsBitIdenticalToSerial) {
   EXPECT_EQ(serial.stats.levels, parallel.stats.levels);
 }
 
-TEST(CandidateLatticeTest, SingleThreadPoolTakesSerialPath) {
-  // A pool of one thread must not change anything either (the traversal
-  // falls back to the serial path, PrepareLevel is never needed).
+TEST(CandidateLatticeTest, SingleThreadPoolMatchesNullPool) {
+  // A pool of one thread must not change anything either: it answers each
+  // level's questions inline, through the same steps as a null pool.
   PureHashOracle a, b;
   common::ThreadPool pool(1);
   LatticeOptions opts;

@@ -1,9 +1,11 @@
-// Threaded DiscoverODs must be indistinguishable from the serial run:
-// identical OD covers (same ODs, same order), identical canonical results,
-// identical traversal statistics and partition counts — on Armstrong tables
-// generated from known theories and on synthetic tables with planted
-// structure. Under -DOD_SANITIZE=thread this doubles as the race check for
-// the prewarmed PartitionCache and the parallel level validation.
+// Threaded DiscoverODs must be indistinguishable from the serial run
+// (num_threads 1: no pool, the same steps inline on the calling thread), so
+// the fan-out changes nothing: identical OD covers (same ODs, same order),
+// identical canonical results, identical traversal statistics and partition
+// counts — on Armstrong tables generated from known theories and on
+// synthetic tables with planted structure. Under -DOD_SANITIZE=thread this
+// doubles as the race check for the prewarmed PartitionCache and the
+// parallel level validation.
 
 #include <gtest/gtest.h>
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
 
 #include "common/thread_pool.h"
 #include "discovery/stripped_partition.h"
@@ -120,14 +121,36 @@ TEST(PartitionCacheTest, CachesAndReuses) {
   engine::Table t =
       IntTable({"a", "b"}, {{1, 5}, {1, 5}, {1, 6}, {2, 7}, {2, 7}});
   PartitionCache cache(t);
+  cache.Prewarm({AttributeSet({0, 1})}, nullptr);
   const StrippedPartition& p1 = cache.Get(AttributeSet({0, 1}));
   EXPECT_EQ(p1.num_classes(), 2);
   // {a, b} plus its chain {a} and {b}.
   const int64_t after_first = cache.computed();
   EXPECT_GE(after_first, 3);
+  // Prewarming cached sets again builds nothing.
+  cache.Prewarm({AttributeSet({0, 1}), AttributeSet({0})}, nullptr);
   cache.Get(AttributeSet({0, 1}));
   cache.Get(AttributeSet({0}));
   EXPECT_EQ(cache.computed(), after_first);  // all hits
+}
+
+TEST(PartitionCacheTest, GetOfUnprewarmedSetThrowsLogicError) {
+  engine::Table t =
+      IntTable({"a", "b", "c"},
+               {{1, 5, 0}, {1, 5, 0}, {1, 6, 1}, {2, 7, 1}, {2, 7, 0}});
+  PartitionCache cache(t);
+  EXPECT_THROW(cache.Get(AttributeSet({0})), std::logic_error);
+  cache.Prewarm({AttributeSet({0, 1})}, nullptr);
+  EXPECT_NO_THROW(cache.Get(AttributeSet({0, 1})));
+  EXPECT_NO_THROW(cache.Get(AttributeSet({0})));
+  // A set nobody named, even one whose inputs are cached, is not built.
+  EXPECT_THROW(cache.Get(AttributeSet({0, 2})), std::logic_error);
+  EXPECT_THROW(cache.Get(AttributeSet()), std::logic_error);
+  // An evicted set is gone until the next Prewarm names it.
+  cache.EvictLevel(2);
+  const int64_t computed = cache.computed();
+  EXPECT_THROW(cache.Get(AttributeSet({0, 1})), std::logic_error);
+  EXPECT_EQ(cache.computed(), computed);
 }
 
 TEST(PartitionCacheTest, EvictLevelDropsOnlyThatLevel) {
@@ -135,6 +158,7 @@ TEST(PartitionCacheTest, EvictLevelDropsOnlyThatLevel) {
       IntTable({"a", "b", "c"},
                {{1, 5, 0}, {1, 5, 0}, {1, 6, 1}, {2, 7, 1}, {2, 7, 0}});
   PartitionCache cache(t);
+  cache.Prewarm({AttributeSet({0, 1}), AttributeSet({0})}, nullptr);
   cache.Get(AttributeSet({0, 1}));
   cache.Get(AttributeSet({0}));
   const int64_t before = cache.size();
@@ -145,6 +169,7 @@ TEST(PartitionCacheTest, EvictLevelDropsOnlyThatLevel) {
   EXPECT_EQ(cache.size(), before - 1);
   // Recomputing the evicted set is a fresh miss.
   const int64_t computed_before = cache.computed();
+  cache.Prewarm({AttributeSet({0, 1})}, nullptr);
   cache.Get(AttributeSet({0, 1}));
   EXPECT_EQ(cache.computed(), computed_before + 1);
 }
@@ -156,25 +181,30 @@ TEST(PartitionCacheTest, PrewarmMatchesOnDemandComputation) {
                                                {2, 20, 6},
                                                {2, 20, 6},
                                                {2, 10, 6}});
-  // On-demand reference.
-  PartitionCache lazy(t);
   const std::vector<AttributeSet> queries = {
       AttributeSet({0, 1}), AttributeSet({0, 2}), AttributeSet({0, 1, 2}),
       AttributeSet({1})};
-  std::vector<int64_t> lazy_errors;
-  for (const auto& q : queries) lazy_errors.push_back(lazy.Get(q).Error());
+  // On-demand reference: the same partitions as products of directly built
+  // single-column partitions, no cache involved.
+  const StrippedPartition a = StrippedPartition::ForColumn(t, 0);
+  const StrippedPartition b = StrippedPartition::ForColumn(t, 1);
+  const StrippedPartition c = StrippedPartition::ForColumn(t, 2);
+  const std::vector<StrippedPartition> direct = {
+      a.Product(b), a.Product(c), a.Product(b).Product(c), b};
+  // The sets and their chains are every nonempty subset of {a, b, c}.
+  const int64_t direct_computed = 7;
 
-  // Prewarmed (parallel) cache: same partitions, same computed() count, and
-  // the Gets afterwards are pure lookups (computed() stays put).
+  // Prewarmed (parallel) cache: same partitions, each built once, and the
+  // Gets afterwards are pure lookups (computed() stays put).
   common::ThreadPool pool(4);
   PartitionCache warmed(t);
   warmed.Prewarm(queries, &pool);
-  EXPECT_EQ(warmed.computed(), lazy.computed());
+  EXPECT_EQ(warmed.computed(), direct_computed);
   const int64_t after_prewarm = warmed.computed();
   for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(warmed.Get(queries[i]).Error(), lazy_errors[i]);
-    EXPECT_EQ(warmed.Get(queries[i]).num_classes(),
-              lazy.Get(queries[i]).num_classes());
+    EXPECT_EQ(warmed.Get(queries[i]).Error(), direct[i].Error());
+    EXPECT_EQ(warmed.Get(queries[i]).num_classes(), direct[i].num_classes());
+    EXPECT_EQ(warmed.Get(queries[i]).classes(), direct[i].classes());
   }
   EXPECT_EQ(warmed.computed(), after_prewarm);
 

@@ -18,6 +18,7 @@ TEST(SplitValidatorTest, HoldsWhenAttrConstantPerClass) {
   // b is a function of a.
   engine::Table t = IntTable({"a", "b"}, {{1, 5}, {1, 5}, {2, 7}, {2, 7}});
   PartitionCache cache(t);
+  cache.Prewarm({AttributeSet({0}), AttributeSet({0, 1})}, nullptr);
   EXPECT_TRUE(SplitCandidateHolds(cache.Get(AttributeSet({0})),
                                   cache.Get(AttributeSet({0, 1}))));
 }
@@ -26,6 +27,7 @@ TEST(SplitValidatorTest, FailsOnSplit) {
   // Rows 0 and 1 agree on a but differ on b: a split of {a}: [] ↦ b.
   engine::Table t = IntTable({"a", "b"}, {{1, 5}, {1, 6}, {2, 7}, {2, 7}});
   PartitionCache cache(t);
+  cache.Prewarm({AttributeSet({0}), AttributeSet({0, 1})}, nullptr);
   EXPECT_FALSE(SplitCandidateHolds(cache.Get(AttributeSet({0})),
                                    cache.Get(AttributeSet({0, 1}))));
 }
@@ -33,6 +35,8 @@ TEST(SplitValidatorTest, FailsOnSplit) {
 TEST(SplitValidatorTest, EmptyContextDetectsConstantColumn) {
   engine::Table t = IntTable({"a", "k"}, {{1, 9}, {2, 9}, {3, 9}});
   PartitionCache cache(t);
+  cache.Prewarm({AttributeSet(), AttributeSet({0}), AttributeSet({1})},
+                nullptr);
   EXPECT_TRUE(SplitCandidateHolds(cache.Get(AttributeSet()),
                                   cache.Get(AttributeSet({1}))));
   EXPECT_FALSE(SplitCandidateHolds(cache.Get(AttributeSet()),
@@ -89,6 +93,7 @@ TEST(SwapValidatorTest, ContextClassesIsolateSwaps) {
       {"c", "a", "b"},
       {{0, 1, 10}, {0, 2, 20}, {1, 100, 1}, {1, 200, 2}});
   PartitionCache cache(t);
+  cache.Prewarm({AttributeSet({0})}, nullptr);
   EXPECT_TRUE(SwapCandidateHolds(t, cache.Get(AttributeSet({0})), 1, 2));
   // With the empty context the cross-class swap is visible:
   // (a=2, b=20) vs (a=100, b=1).
@@ -100,6 +105,7 @@ TEST(SwapValidatorTest, KeyContextHasNothingToCheck) {
   engine::Table t = IntTable({"id", "a", "b"},
                              {{1, 5, 9}, {2, 6, 8}, {3, 7, 7}});
   PartitionCache cache(t);
+  cache.Prewarm({AttributeSet({0})}, nullptr);
   const StrippedPartition& ctx = cache.Get(AttributeSet({0}));
   EXPECT_TRUE(ctx.IsKey());
   EXPECT_TRUE(SwapCandidateHolds(t, ctx, 1, 2));

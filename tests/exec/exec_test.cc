@@ -172,9 +172,10 @@ TEST(StreamAggregateTest, EmptyInput) {
   EXPECT_FALSE(agg->Next(&b));
 }
 
+// A streaming DISTINCT is a StreamAggregate with no aggregates.
 TEST(StreamDistinctTest, MatchesHashDistinctOnSortedInput) {
   Table t = engine::SortBy(MakeKv(777, 19), {0});
-  OpPtr d = StreamDistinct(Scan(&t, nullptr, 10), {0});
+  OpPtr d = StreamAggregate(Scan(&t, nullptr, 10), {0}, {});
   Table streamed = Drain(d.get());
   Table hashed = engine::HashDistinct(t, {0});
   EXPECT_TRUE(engine::SameRowMultiset(hashed, streamed));
@@ -183,7 +184,7 @@ TEST(StreamDistinctTest, MatchesHashDistinctOnSortedInput) {
 
 TEST(StreamDistinctTest, NonContiguousEmitsRuns) {
   Table t = MakeKv(10, 2);  // 0,1,0,1,...
-  OpPtr d = StreamDistinct(Scan(&t), {0});
+  OpPtr d = StreamAggregate(Scan(&t), {0}, {});
   EXPECT_EQ(Drain(d.get()).num_rows(), 10);
 }
 

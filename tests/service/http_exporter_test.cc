@@ -2,11 +2,12 @@
 // ephemeral port, fetched with the in-repo HttpGet helper. /metrics must
 // round-trip through MetricRegistry::FromPrometheusText, /statusz must
 // reflect a request the server just classified as slow and stay valid
-// JSON for any tenant name, and an idle client must not wedge the
-// listener.
+// JSON for any tenant name, and neither an idle client nor one that stops
+// reading may wedge the listener or Stop().
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -18,6 +19,7 @@
 #include <utility>
 
 #include "common/metrics.h"
+#include "common/trace.h"
 #include "service/http_exporter.h"
 #include "service/service.h"
 
@@ -148,6 +150,74 @@ TEST_F(HttpExporterTest, IdleClientDoesNotWedgeTheListener) {
   if (answered) {
     EXPECT_EQ(idle_reply.rfind("HTTP/1.1 400", 0), 0u) << idle_reply;
   }
+}
+
+/// Connects to the exporter with a 4 KB receive buffer, sends `request`,
+/// and never reads: a client that stalls mid-response.
+int ConnectStalledReader(int port, const std::string& request) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const int rcvbuf = 4096;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  if (::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr) != 1 ||
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::send(fd, request.data(), request.size(), MSG_NOSIGNAL) !=
+          static_cast<ssize_t>(request.size())) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// True once the exporter has started sending the response to `fd`.
+bool ResponseStarted(int fd) {
+  pollfd readable{fd, POLLIN, 0};
+  return ::poll(&readable, 1, 3000) == 1;
+}
+
+TEST_F(HttpExporterTest, StalledReaderDoesNotWedgeTheListenerOrStop) {
+  // 60,000 spans make a /tracez body of about 9 MB, far more than the
+  // stalled client's receive buffer and the listener's send buffer hold.
+  common::Tracer& tracer = common::Tracer::Global();
+  tracer.Clear();
+  for (int i = 0; i < 60000; ++i) {
+    tracer.Record("http_exporter_test.span", i, 1, 0, 1, i + 1, 0);
+  }
+  const std::string tracez = "GET /tracez HTTP/1.1\r\n\r\n";
+  constexpr auto kBound = std::chrono::seconds(4);
+
+  // /healthz is answered within the bound while a stalled reader is
+  // connected ahead of it.
+  const int stalled = ConnectStalledReader(exporter_->port(), tracez);
+  ASSERT_GE(stalled, 0);
+  ASSERT_TRUE(ResponseStarted(stalled));
+  auto probe = std::async(std::launch::async, [this] {
+    int status = 0;
+    std::string body = Get("/healthz", &status);
+    return std::make_pair(status, std::move(body));
+  });
+  const bool answered =
+      probe.wait_for(kBound) == std::future_status::ready;
+  ::close(stalled);  // unwedges a listener stuck on it, so a failure ends here
+  EXPECT_TRUE(answered) << "/healthz unanswered within 4 s of a stalled reader";
+  const auto [status, body] = probe.get();
+  EXPECT_EQ(status, 200);
+  EXPECT_EQ(body, "ok\n");
+
+  // Stop() returns within the bound while the listener is sending to a
+  // stalled reader.
+  const int stalled_again = ConnectStalledReader(exporter_->port(), tracez);
+  ASSERT_GE(stalled_again, 0);
+  ASSERT_TRUE(ResponseStarted(stalled_again));
+  auto stop = std::async(std::launch::async, [this] { exporter_->Stop(); });
+  const bool stopped = stop.wait_for(kBound) == std::future_status::ready;
+  ::close(stalled_again);
+  stop.get();
+  EXPECT_TRUE(stopped) << "Stop() blocked over 4 s on a stalled reader";
+  tracer.Clear();
 }
 
 TEST_F(HttpExporterTest, TracezServesChromeTraceShape) {
